@@ -12,14 +12,14 @@ that change behavior do not count.
 
 Env knobs:
 
-- ``REPRO_KERNEL_BASELINE_EPS`` -- baseline events/sec to compare
+- ``REPRO_DENSE_BASELINE_EPS`` -- baseline events/sec to compare
   against (default: the pre-optimization kernel measured on the dev
   box; override when benchmarking on different hardware).
-- ``REPRO_KERNEL_MIN_SPEEDUP`` -- speedup floor to assert (default 1.5,
+- ``REPRO_DENSE_MIN_SPEEDUP`` -- speedup floor to assert (default 1.5,
   the CI smoke floor; the local target is 2.0).  Set to 0 to record
   without asserting.
-- ``REPRO_KERNEL_REPS`` -- timing repetitions, best-of (default 3).
-- ``REPRO_KERNEL_OUT`` -- where to write the JSON (default
+- ``REPRO_DENSE_REPS`` -- timing repetitions, best-of (default 3).
+- ``REPRO_DENSE_OUT`` -- where to write the JSON (default
   ``BENCH_kernel.json`` in the current directory).
 """
 
@@ -41,11 +41,11 @@ DEFAULT_BASELINE_EPS = 16300.056496213185
 GOLDEN_EVENTS = 25919
 
 BASELINE_EPS = float(
-    os.environ.get("REPRO_KERNEL_BASELINE_EPS", "") or DEFAULT_BASELINE_EPS
+    os.environ.get("REPRO_DENSE_BASELINE_EPS", "") or DEFAULT_BASELINE_EPS
 )
-MIN_SPEEDUP = float(os.environ.get("REPRO_KERNEL_MIN_SPEEDUP", "1.5"))
-REPS = int(os.environ.get("REPRO_KERNEL_REPS", "3") or "3")
-OUT_PATH = os.environ.get("REPRO_KERNEL_OUT", "BENCH_kernel.json")
+MIN_SPEEDUP = float(os.environ.get("REPRO_DENSE_MIN_SPEEDUP", "1.5"))
+REPS = int(os.environ.get("REPRO_DENSE_REPS", "3") or "3")
+OUT_PATH = os.environ.get("REPRO_DENSE_OUT", "BENCH_kernel.json")
 
 
 def dense_config():
@@ -112,5 +112,5 @@ def test_kernel_speedup_and_bench_json():
             f"kernel throughput {eps:,.0f} events/sec is only "
             f"{speedup:.2f}x of the recorded baseline "
             f"{BASELINE_EPS:,.0f} (floor {MIN_SPEEDUP}x); rerun on a quiet "
-            f"machine or recalibrate with REPRO_KERNEL_BASELINE_EPS"
+            f"machine or recalibrate with REPRO_DENSE_BASELINE_EPS"
         )

@@ -9,6 +9,9 @@ import random
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_broadcast_simulation
 from repro.metrics.connectivity import reachable_set
+from repro.mobility.map import RectMap
+from repro.mobility.models import StaticMobility
+from repro.mobility.store import PositionStore
 from repro.phy.channel import Channel
 from repro.phy.params import PhyParams
 from repro.sim.engine import Scheduler
@@ -53,7 +56,10 @@ def test_channel_transmission_fanout(benchmark):
 
     def run():
         scheduler = Scheduler()
-        channel = Channel(scheduler, params, lambda hid: positions[hid])
+        store = PositionStore(
+            [StaticMobility(p) for p in positions], RectMap(300.0, 300.0)
+        )
+        channel = Channel(scheduler, params, store)
         sink = Sink()
         for host_id in range(100):
             channel.attach(host_id, sink)

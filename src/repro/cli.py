@@ -94,14 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_profile_arg(run_p)
     run_p.add_argument(
-        "--kernel", choices=["auto", "scalar", "vector"], default=None,
-        help="simulation kernel: scalar reference loops, numpy-vectorized "
-        "fast path, or auto-detect (default: REPRO_KERNEL env or auto)",
-    )
-    run_p.add_argument(
         "--perf", action="store_true",
         help="also print the run's kernel counters "
-        "(events, cancellations, collisions, memo hit rates, ...)",
+        "(events, cancellations, collisions, position-cache hit rate, ...)",
     )
     run_p.add_argument(
         "--trace", metavar="PATH", default=None,
@@ -441,14 +436,10 @@ def _run_single(args: argparse.Namespace) -> int:
         from repro.perf import format_profile, profiled
 
         with profiled() as prof:
-            result = run_broadcast_simulation(
-                config, trace=trace, kernel=args.kernel
-            )
+            result = run_broadcast_simulation(config, trace=trace)
         print(format_profile(prof, top_n=args.profile))
     else:
-        result = run_broadcast_simulation(
-            config, trace=trace, kernel=args.kernel
-        )
+        result = run_broadcast_simulation(config, trace=trace)
     print(result.summary())
     if trace is not None:
         if args.trace_format == "chrome":

@@ -106,7 +106,6 @@ def result_to_dict(result: SimulationResult) -> Dict[str, Any]:
             "injected_drops": channel.injected_drops,
             "aborted_frames": channel.aborted_frames,
             "truncated_receptions": channel.truncated_receptions,
-            "grid_rebuilds": channel.grid_rebuilds,
             "batch_scans": channel.batch_scans,
             "vector_candidates": channel.vector_candidates,
             "total_tx_airtime": channel.total_tx_airtime,
@@ -186,7 +185,7 @@ def result_from_dict(data: Dict[str, Any]) -> SimulationResult:
     for name in (
         "transmissions", "deliveries", "collisions", "deaf_misses",
         "injected_drops", "aborted_frames", "truncated_receptions",
-        "grid_rebuilds", "batch_scans", "vector_candidates",
+        "batch_scans", "vector_candidates",
     ):
         setattr(channel_stats, name, ch.get(name, 0))
     # Per-host airtime breakdowns are not exported; park the totals under a

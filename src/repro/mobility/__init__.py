@@ -17,6 +17,7 @@ from repro.mobility.models import (
     StaticMobility,
     make_mobility,
 )
+from repro.mobility.store import PositionBuffers, PositionStore
 
 __all__ = [
     "RectMap",
@@ -29,12 +30,3 @@ __all__ = [
     "PositionStore",
 ]
 
-
-def __getattr__(name):
-    # PositionStore lives behind a lazy import: it needs numpy, which the
-    # scalar kernel must not require.
-    if name in ("PositionStore", "PositionBuffers"):
-        from repro.mobility import store
-
-        return getattr(store, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

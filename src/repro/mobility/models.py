@@ -30,7 +30,15 @@ def kmh_to_ms(kmh: float) -> float:
 
 
 class MobilityModel(ABC):
-    """Interface: a host's position as a function of simulation time."""
+    """Interface: a host's position as a function of simulation time.
+
+    Contract: ``position(t)`` depends only on ``t`` and this model's own
+    state.  In particular a model draws from no RNG shared with another
+    host's model.  :class:`repro.mobility.store.PositionStore` relies on
+    this: it evaluates every host at every position epoch, whether or
+    not anyone asks, so a model must not care when or how often it is
+    queried.
+    """
 
     __slots__ = ()
 

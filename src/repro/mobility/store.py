@@ -1,16 +1,17 @@
 """Batched host positions: numpy arrays over every host's mobility state.
 
-The scalar kernel asks each host's :class:`~repro.mobility.models
-.MobilityModel` for its position one call at a time, behind per-instant
-memos.  At 1000+ hosts a single transmission's receiver scan makes ~N such
-calls, and a dense broadcast storm makes thousands of scans -- the Python
-call overhead dominates the whole simulation.
+A single transmission's receiver scan needs every host's position at one
+instant, and a dense broadcast storm makes thousands of scans; asking
+each host's :class:`~repro.mobility.models.MobilityModel` one call at a
+time would make Python call overhead dominate the whole simulation.
 
 :class:`PositionStore` mirrors every host's current motion segment
 ``(origin, velocity, segment start/end)`` into numpy arrays and evaluates
 **all** positions for a timestamp in one batched call per *position epoch*
 (the first query at each distinct simulation time).  Subsequent queries at
-the same instant are served from the cached arrays.
+the same instant are served from the cached arrays.  A model that is not
+one of the built-ins becomes a row re-evaluated with ``model.position(t)``
+at each epoch.
 
 Bit-identity contract
 ---------------------
@@ -25,13 +26,14 @@ The batched evaluation is float-for-float the same arithmetic as
   deliberately not used);
 - segment rolls are delegated to the models themselves (``_roll_to``), so
   every RNG draw happens on the same per-host stream in the same per-host
-  order as lazy scalar querying.  Batching *can* roll a host's segments at
-  an earlier wall point than the scalar kernel would (e.g. a crashed host
-  keeps moving but is never scanned), but since each built-in model draws
-  from a private stream the drawn values -- and therefore every position
-  ever observed -- are identical.  This is why the store refuses models it
-  does not recognize: a custom model might share one RNG across hosts, and
-  batched advancement would reorder those draws.
+  order as querying the model directly.
+
+Batching evaluates (and rolls) every host at every epoch, including hosts
+nobody is asking about, such as a crashed host that keeps moving.  That
+is only safe because of the :class:`~repro.mobility.models.MobilityModel`
+contract: a position depends only on ``t`` and the model's own state,
+with no RNG shared across hosts, so when a model is evaluated never
+changes what it returns.
 
 Buffer reuse
 ------------
@@ -50,14 +52,7 @@ import numpy as np
 from repro.mobility.map import RectMap, _fold
 from repro.mobility.models import MobilityModel, StaticMobility, _SegmentedMobility
 
-__all__ = ["PositionBuffers", "PositionStore", "supports_models"]
-
-
-def supports_models(models: Sequence[MobilityModel]) -> bool:
-    """Whether every model is a built-in the store can vectorize."""
-    return all(
-        isinstance(m, (_SegmentedMobility, StaticMobility)) for m in models
-    )
+__all__ = ["PositionBuffers", "PositionStore"]
 
 
 class PositionBuffers:
@@ -94,13 +89,12 @@ class PositionBuffers:
 class PositionStore:
     """Vectorized per-instant positions for hosts ``0 .. n-1``.
 
-    One instance per :class:`~repro.net.network.Network` (vector kernel
-    only).  Queries must be non-decreasing in time, which the event-driven
-    scheduler guarantees.
+    One instance per :class:`~repro.net.network.Network`.  Queries must be
+    non-decreasing in time, which the event-driven scheduler guarantees.
     """
 
     __slots__ = (
-        "size", "_models", "_world_w", "_world_h",
+        "size", "_models", "_custom", "_world_w", "_world_h",
         "_ox", "_oy", "_vx", "_vy", "_t0", "_t1", "_x", "_y",
         "_time", "_lazy_time",
         "epoch_hits", "batch_evals", "lazy_reads", "segment_rolls",
@@ -112,18 +106,6 @@ class PositionStore:
         world: RectMap,
         buffers: Optional[PositionBuffers] = None,
     ) -> None:
-        if not supports_models(models):
-            unsupported = sorted(
-                {
-                    type(m).__name__
-                    for m in models
-                    if not isinstance(m, (_SegmentedMobility, StaticMobility))
-                }
-            )
-            raise ValueError(
-                f"PositionStore cannot vectorize mobility model(s): "
-                f"{', '.join(unsupported)}"
-            )
         self.size = len(models)
         self._models = list(models)
         self._world_w = world.width
@@ -131,19 +113,28 @@ class PositionStore:
         arrays = (buffers or PositionBuffers()).views(self.size)
         (self._ox, self._oy, self._vx, self._vy,
          self._t0, self._t1, self._x, self._y) = arrays
+        #: ``(row, model)`` for models that are not built in, overwritten
+        #: with ``model.position(t)`` after each batched evaluation.
+        self._custom: List[Tuple[int, MobilityModel]] = []
         for i, model in enumerate(self._models):
-            if isinstance(model, StaticMobility):
-                x, y = model.position(0.0)
-                self._ox[i] = x
-                self._oy[i] = y
-                self._vx[i] = 0.0
-                self._vy[i] = 0.0
-                self._t0[i] = 0.0
-                self._t1[i] = np.inf
-            else:
+            if isinstance(model, _SegmentedMobility):
                 # Segment state is synced on first evaluation (the model
                 # has not started yet); -inf forces the initial roll.
                 self._t1[i] = -np.inf
+                continue
+            if isinstance(model, StaticMobility):
+                x, y = model.position(0.0)
+            else:
+                # A fixed row that never rolls or folds; the real
+                # position is written in at each epoch.
+                x = y = 0.0
+                self._custom.append((i, model))
+            self._ox[i] = x
+            self._oy[i] = y
+            self._vx[i] = 0.0
+            self._vy[i] = 0.0
+            self._t0[i] = 0.0
+            self._t1[i] = np.inf
         self._time = -1.0
         self._lazy_time = -1.0
         #: Queries served from the cached current-epoch arrays.
@@ -183,10 +174,11 @@ class PositionStore:
         self.batch_evals += 1
         models = self._models
         # Roll hosts whose current segment ended (or never started).  The
-        # model does the rolling -- same RNG stream, same draw order as the
-        # scalar kernel -- and the row is re-synced from its state.  A row
-        # can also be stale because the model was queried directly (lazy
-        # read); _roll_to is then a no-op and the sync still repairs it.
+        # model does the rolling -- same RNG stream, same draw order as
+        # querying it directly -- and the row is re-synced from its state.
+        # A row can also be stale because the model was queried directly
+        # (lazy read); _roll_to is then a no-op and the sync still repairs
+        # it.
         stale = np.nonzero(self._t1 < time)[0]
         if stale.size:
             self.segment_rolls += int(stale.size)
@@ -194,9 +186,9 @@ class PositionStore:
                 model = models[i]
                 model._roll_to(time)
                 self._sync_row(i, model)
-        # One multiply + one add per coordinate: exactly the scalar
-        # kernel's ``origin + velocity * dt`` (IEEE addition commutes
-        # bitwise, so ``vx * dt + ox`` == ``ox + vx * dt``).
+        # One multiply + one add per coordinate: exactly the models'
+        # ``origin + velocity * dt`` (IEEE addition commutes bitwise, so
+        # ``vx * dt + ox`` == ``ox + vx * dt``).
         x = self._x
         y = self._y
         dt = time - self._t0
@@ -205,8 +197,8 @@ class PositionStore:
         np.multiply(self._vy, dt, out=y)
         y += self._oy
         # Reflective fold for the rare segment that exits the map between
-        # rolls; in-bounds coordinates are untouched (the scalar fast
-        # path's identity).  Static rows (t1 == +inf) never fold: velocity
+        # rolls; in-bounds coordinates are untouched (the models' fast
+        # path's identity).  Fixed rows (t1 == +inf) never fold: velocity
         # 0 keeps them at their (possibly off-map, in tests) fixed point,
         # just like StaticMobility itself.
         w = self._world_w
@@ -218,6 +210,8 @@ class PositionStore:
             for i in np.nonzero(oob)[0].tolist():
                 x[i] = _fold(float(x[i]), w)
                 y[i] = _fold(float(y[i]), h)
+        for i, model in self._custom:
+            x[i], y[i] = model.position(time)
         self._time = time
         return x, y
 

@@ -18,6 +18,7 @@ from typing import Any, Optional, Tuple
 from repro.mac.csma import CsmaCaMac, MacFrameHandle
 from repro.metrics.collector import MetricsCollector
 from repro.mobility.models import MobilityModel
+from repro.mobility.store import PositionStore
 from repro.net.dupcache import DuplicateCache
 from repro.net.neighbors import NeighborTable, dynamic_hello_interval
 from repro.net.packets import BroadcastPacket, HelloPacket, PacketKey
@@ -74,8 +75,8 @@ class MobileHost:
         "oracle_neighbors", "slot_time", "packet_observers",
         "unicast_handler", "dup_cache", "neighbor_table", "mac",
         "hello_enabled", "_hello_started", "_hello_event",
-        "_hello_muted_until", "alive", "_pos_time", "_pos", "pos_hits",
-        "pos_misses", "_airtime_cache", "trace", "position_store",
+        "_hello_muted_until", "alive", "_airtime_cache", "trace",
+        "position_store",
     )
 
     def __init__(
@@ -85,6 +86,7 @@ class MobileHost:
         channel: Channel,
         params: PhyParams,
         mobility: MobilityModel,
+        position_store: PositionStore,
         scheme: RebroadcastScheme,
         metrics: MetricsCollector,
         mac_rng: random.Random,
@@ -93,7 +95,6 @@ class MobileHost:
         hello_config: Optional[HelloConfig] = None,
         oracle_neighbors: bool = False,
         trace: Optional[Any] = None,
-        position_store: Optional[Any] = None,
     ) -> None:
         self.host_id = host_id
         self.scheduler = scheduler
@@ -131,17 +132,8 @@ class MobileHost:
         self._hello_muted_until = 0.0
         self.alive = True
 
-        # Per-instant position memo: mobility position is a pure function
-        # of time, but the channel and the schemes ask for it repeatedly at
-        # the same timestamp (measured ~60% duplicate queries on the dense
-        # scenario).  ``-1.0`` never equals a valid simulation time.
-        self._pos_time = -1.0
-        self._pos: Tuple[float, float] = (0.0, 0.0)
-        self.pos_hits = 0
-        self.pos_misses = 0
-        #: Vector kernel only: the network-wide batched position arrays.
-        #: When set, :meth:`position` reads through it (epoch cache, then
-        #: the model itself) and the per-host memo above goes unused.
+        #: The network-wide batched positions :meth:`position` reads
+        #: through (epoch cache, then the model itself).
         self.position_store = position_store
         self._airtime_cache: dict = {}
 
@@ -208,18 +200,9 @@ class MobileHost:
     # ------------------------------------------------------- SchemeHost API
 
     def position(self) -> Tuple[float, float]:
-        store = self.position_store
-        if store is not None:
-            return store.position_of(self.host_id, self.scheduler._now)
-        now = self.scheduler._now
-        if now == self._pos_time:
-            self.pos_hits += 1
-            return self._pos
-        self.pos_misses += 1
-        pos = self.mobility.position(now)
-        self._pos_time = now
-        self._pos = pos
-        return pos
+        return self.position_store.position_of(
+            self.host_id, self.scheduler._now
+        )
 
     def radio_radius(self) -> float:
         return self.params.radio_radius

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.kernel import resolve_kernel
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.connectivity import reachable_set
 from repro.mobility.map import RectMap
-from repro.mobility.models import MobilityModel, kmh_to_ms, make_mobility
+from repro.mobility.models import MobilityModel, make_mobility
+from repro.mobility.store import PositionBuffers, PositionStore
 from repro.net.host import HelloConfig, MobileHost
 from repro.net.packets import BroadcastPacket
 from repro.phy.capture import CaptureModel
@@ -47,8 +47,7 @@ class Network:
         mobility_factory: Optional[Callable[[int], "MobilityModel"]] = None,
         capture: Optional["CaptureModel"] = None,
         trace: Optional[Any] = None,
-        kernel: Optional[str] = None,
-        position_buffers: Optional[Any] = None,
+        position_buffers: Optional[PositionBuffers] = None,
     ) -> None:
         if num_hosts < 1:
             raise ValueError(f"need at least one host, got {num_hosts}")
@@ -58,19 +57,10 @@ class Network:
         self.metrics = metrics
         self.trace = trace
         self.hosts: List[MobileHost] = []
-        # A custom mobility_factory gives no speed guarantee, so the
-        # channel's spatial index stays off (full scans); the built-in
-        # models are bounded by max_speed_kmh (exactly 0 for "static").
-        if mobility_factory is not None:
-            speed_bound = None
-        elif mobility == "static":
-            speed_bound = 0.0
-        else:
-            speed_bound = kmh_to_ms(max_speed_kmh)
 
-        # All mobility models are built before the channel so the vector
-        # kernel can mirror them into a PositionStore.  Stream creation
-        # order (mobility/0, mobility/1, ...) is unchanged.
+        # All mobility models are built before the channel so they can be
+        # mirrored into the PositionStore.  Streams are created in host
+        # order (mobility/0, mobility/1, ...).
         models: List[MobilityModel] = []
         for host_id in range(num_hosts):
             if mobility_factory is not None:
@@ -87,37 +77,20 @@ class Network:
                     )
                 )
 
-        # Kernel selection (see repro.kernel).  A custom mobility_factory
-        # forces the scalar path even under "vector": its models may share
-        # RNG state across hosts, which batched advancement would reorder.
-        # A capture model does too: capture breaks the single-clean-slot
-        # invariant the channel's array reception state relies on.
-        store = None
-        if (
-            resolve_kernel(kernel) == "vector"
-            and mobility_factory is None
-            and capture is None
-        ):
-            from repro.mobility.store import PositionStore
-
-            store = PositionStore(models, world, buffers=position_buffers)
-        #: The vector kernel's batched position arrays (``None`` on the
-        #: scalar path).
-        self.position_store = store
-        #: The kernel actually running: ``"scalar"`` or ``"vector"``.
-        self.kernel = "scalar" if store is None else "vector"
-
+        #: Every host's position, batched per instant.
+        self.position_store = PositionStore(
+            models, world, buffers=position_buffers
+        )
         self.channel = Channel(
-            scheduler, params, self._position_of, drop_predicate,
-            capture=capture, max_speed_ms=speed_bound, trace=trace,
-            position_store=store,
+            scheduler, params, self.position_store, drop_predicate,
+            capture=capture, trace=trace,
         )
         self._seq = 0
 
         for host_id in range(num_hosts):
             host = MobileHost(
                 host_id=host_id,
-                position_store=store,
+                position_store=self.position_store,
                 scheduler=scheduler,
                 channel=self.channel,
                 params=params,
@@ -133,34 +106,15 @@ class Network:
             )
             self.hosts.append(host)
 
-    def _position_of(self, host_id: int) -> Tuple[float, float]:
-        # The host's per-instant memo (see MobileHost.position), inlined:
-        # this is the channel's position callback, invoked once per
-        # (candidate receiver, transmission) -- the single hottest call
-        # path in a dense broadcast storm.
-        host = self.hosts[host_id]
-        now = host.scheduler._now
-        if now == host._pos_time:
-            host.pos_hits += 1
-            return host._pos
-        host.pos_misses += 1
-        pos = host.mobility.position(now)
-        host._pos_time = now
-        host._pos = pos
-        return pos
-
     # ------------------------------------------------------------- queries
 
     def positions(self) -> Dict[int, Tuple[float, float]]:
         """Snapshot of all host positions at the current time."""
-        store = self.position_store
-        if store is not None:
-            xs, ys = store.arrays_at(self.scheduler._now)
-            return {
-                h.host_id: (float(xs[h.host_id]), float(ys[h.host_id]))
-                for h in self.hosts
-            }
-        return {h.host_id: h.position() for h in self.hosts}
+        xs, ys = self.position_store.arrays_at(self.scheduler._now)
+        return {
+            h.host_id: (float(xs[h.host_id]), float(ys[h.host_id]))
+            for h in self.hosts
+        }
 
     def alive_ids(self) -> Set[int]:
         """Hosts whose radios are currently up."""
@@ -168,17 +122,14 @@ class Network:
 
     def alive_positions(self) -> Dict[int, Tuple[float, float]]:
         """Positions of alive hosts only (crashed radios cannot relay)."""
-        store = self.position_store
-        if store is not None:
-            # One batched epoch instead of n single-host reads: the
-            # connectivity snapshot queries every host at one instant.
-            xs, ys = store.arrays_at(self.scheduler._now)
-            return {
-                h.host_id: (float(xs[h.host_id]), float(ys[h.host_id]))
-                for h in self.hosts
-                if h.alive
-            }
-        return {h.host_id: h.position() for h in self.hosts if h.alive}
+        # One batched epoch instead of n single-host reads: the
+        # connectivity snapshot queries every host at one instant.
+        xs, ys = self.position_store.arrays_at(self.scheduler._now)
+        return {
+            h.host_id: (float(xs[h.host_id]), float(ys[h.host_id]))
+            for h in self.hosts
+            if h.alive
+        }
 
     def reachable_from(self, source_id: int) -> Set[int]:
         """Alive hosts currently reachable from ``source_id`` via alive

@@ -27,14 +27,12 @@ scheduler reclaimed cancelled husks in bulk.
 the run ended -- including runs that quiesce early under faults -- closing
 the disposition invariant ``scheduled == processed + cancelled +
 (pending_final - cancelled_pending_final)``.  ``pos_hits``/``pos_misses``
-describe position reads: under the scalar kernel the per-host per-instant
-memo (a hit returns the tuple cached at the current timestamp, a miss
-evaluates the mobility model); under the vector kernel the
-:class:`~repro.mobility.store.PositionStore` epoch cache (a miss is a
-batched all-host evaluation or a lazy single-host read).
-``pos_batch_evals`` counts those batched evaluations (vector only), and
-``batch_scans``/``vector_candidates`` the vectorized receiver scans and
-the total in-range ids they produced.
+describe position reads through the
+:class:`~repro.mobility.store.PositionStore` epoch cache (a hit is served
+from the arrays already at the current timestamp; a miss is a batched
+all-host evaluation or a lazy single-host read).  ``pos_batch_evals``
+counts those batched evaluations, and ``batch_scans``/``vector_candidates``
+the vectorized receiver scans and the total in-range ids they produced.
 ``hello_updates``/``neighbor_expirations`` count HELLO-driven neighbor
 table writes and lazy-heap expiries.  Channel and MAC counters mirror the
 fields of the same name on ``ChannelStats`` / ``MacStats`` (MAC counters
@@ -61,12 +59,11 @@ class KernelPerf:
         "heap_compactions", "events_pending_final", "cancelled_pending_final",
         # channel
         "transmissions", "deliveries", "collisions", "deaf_misses",
-        "grid_rebuilds", "batch_scans", "vector_candidates",
+        "batch_scans", "vector_candidates",
         # MAC (summed across hosts)
         "frames_sent", "frames_received", "frames_corrupted",
         "backoffs_started",
-        # position reads: per-host memo (scalar kernel) or PositionStore
-        # epoch cache (vector kernel)
+        # position reads through the PositionStore epoch cache
         "pos_hits", "pos_misses", "pos_batch_evals",
         # HELLO / neighbor bookkeeping
         "hello_updates", "neighbor_expirations",
@@ -100,43 +97,30 @@ class KernelPerf:
         perf.events_pending_final = scheduler.pending
         perf.cancelled_pending_final = scheduler.cancelled_pending
 
-        # Vector kernel: fold array-accumulated tallies (per-host rx
-        # airtime, MAC corrupted counts) into their scalar-form homes
-        # before reading anything.  Idempotent; no-op on scalar.
-        finalize = getattr(network.channel, "finalize_vector_stats", None)
-        if finalize is not None:
-            finalize()
-
+        # Reading the channel's stats folds its array-accumulated tallies
+        # (per-host rx airtime, MAC corrupted counts) into their dict and
+        # MacStats homes, so it comes before the MAC counters below.
         ch = network.channel.stats
         perf.transmissions = ch.transmissions
         perf.deliveries = ch.deliveries
         perf.collisions = ch.collisions
         perf.deaf_misses = ch.deaf_misses
-        perf.grid_rebuilds = ch.grid_rebuilds
         perf.batch_scans = ch.batch_scans
         perf.vector_candidates = ch.vector_candidates
 
+        store = network.position_store
+        perf.pos_hits = store.epoch_hits
+        perf.pos_misses = store.batch_evals + store.lazy_reads
+        perf.pos_batch_evals = store.batch_evals
+
         frames_sent = frames_received = frames_corrupted = 0
-        backoffs = pos_hits = pos_misses = 0
-        hello_updates = expirations = 0
-        # Vector kernel: the PositionStore subsumes the per-host memo, so
-        # its epoch cache reports through the same hit/miss pair (a miss is
-        # any query that had to evaluate mobility -- a batched epoch or a
-        # lazy single-host read).  The per-host tallies accumulated below
-        # are all zero in that mode, so the two accountings never mix.
-        store = getattr(network, "position_store", None)
-        if store is not None:
-            pos_hits = store.epoch_hits
-            pos_misses = store.batch_evals + store.lazy_reads
-            perf.pos_batch_evals = store.batch_evals
+        backoffs = hello_updates = expirations = 0
         for host in network.hosts:
             mac = host.mac.stats
             frames_sent += mac.frames_sent
             frames_received += mac.frames_received
             frames_corrupted += mac.frames_corrupted
             backoffs += mac.backoffs_started
-            pos_hits += host.pos_hits
-            pos_misses += host.pos_misses  # all zero under the vector kernel
             table = host.neighbor_table
             hello_updates += table.hello_updates
             expirations += table.expirations
@@ -144,8 +128,6 @@ class KernelPerf:
         perf.frames_received = frames_received
         perf.frames_corrupted = frames_corrupted
         perf.backoffs_started = backoffs
-        perf.pos_hits = pos_hits
-        perf.pos_misses = pos_misses
         perf.hello_updates = hello_updates
         perf.neighbor_expirations = expirations
         return perf
@@ -164,7 +146,7 @@ class KernelPerf:
 
     @property
     def pos_hit_rate(self) -> float:
-        """Position-memo hits over all position queries (0.0 if none)."""
+        """Epoch-cache hits over all position queries (0.0 if none)."""
         queries = self.pos_hits + self.pos_misses
         return self.pos_hits / queries if queries else 0.0
 

@@ -73,8 +73,8 @@ class TraceRecorder:
     # ------------------------------------------------------------ emission
 
     def emit(self, time: float, category: str, **fields: Any) -> None:
-        """Keyword-style emission (compatible with the legacy
-        :class:`repro.sim.trace.Tracer` interface).
+        """Keyword-style emission: ``fields`` are named as in the
+        category's :data:`repro.trace.schema.SCHEMA` entry.
 
         Hot paths bypass this and append tuples directly; ``emit`` is for
         cold sites and tests.  Unknown categories or fields raise.

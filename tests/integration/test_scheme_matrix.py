@@ -54,7 +54,6 @@ def test_position_stamping_matches_declared_needs():
     from repro.mac.frames import DataFrame
     from repro.net.packets import BroadcastPacket
     from repro.sim.engine import Scheduler
-    from repro.sim.trace import RecordingTracer
 
     for name in sorted(SCHEME_REGISTRY):
         scheme_probe = make_scheme(name)

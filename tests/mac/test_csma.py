@@ -9,6 +9,8 @@ from repro.phy.channel import Channel
 from repro.phy.params import PhyParams
 from repro.sim.engine import Scheduler
 
+from tests.phy.test_channel import static_store
+
 PARAMS = PhyParams(radio_radius=100.0)
 DIFS = PARAMS.difs
 SLOT = PARAMS.slot_time
@@ -44,7 +46,7 @@ class Upper:
 def build(positions, backoffs=None):
     """(scheduler, channel, macs, uppers) with one MAC per position."""
     scheduler = Scheduler()
-    channel = Channel(scheduler, PARAMS, lambda hid: positions[hid])
+    channel = Channel(scheduler, PARAMS, static_store(positions))
     macs, uppers = [], []
     for host_id in range(len(positions)):
         upper = Upper(scheduler)

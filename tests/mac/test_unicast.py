@@ -8,6 +8,8 @@ from repro.phy.channel import Channel
 from repro.phy.params import PhyParams
 from repro.sim.engine import Scheduler
 
+from tests.phy.test_channel import static_store
+
 PARAMS = PhyParams(radio_radius=100.0)
 
 
@@ -26,7 +28,7 @@ class Upper:
 def build(positions, drop_predicate=None, retry_limit=7):
     scheduler = Scheduler()
     channel = Channel(
-        scheduler, PARAMS, lambda hid: positions[hid], drop_predicate
+        scheduler, PARAMS, static_store(positions), drop_predicate
     )
     macs, uppers = [], []
     for host_id in range(len(positions)):

@@ -1,4 +1,4 @@
-"""PositionStore: batched positions must replay the scalar models exactly."""
+"""PositionStore: batched positions must replay the per-host models exactly."""
 
 import random
 
@@ -12,7 +12,7 @@ from repro.mobility.models import (
     RandomWaypointMobility,
     StaticMobility,
 )
-from repro.mobility.store import PositionBuffers, PositionStore, supports_models
+from repro.mobility.store import PositionBuffers, PositionStore
 
 
 def make_models(world, n, seed=1, speed_kmh=60.0):
@@ -116,17 +116,28 @@ def test_static_rows_never_roll():
     assert store.segment_rolls == 0
 
 
-def test_supports_models_rejects_custom_models():
-    class Orbit(MobilityModel):
+def test_custom_models_are_reevaluated_each_epoch():
+    """A model that is not built in is a row holding ``model.position(t)``
+    at every epoch: never rolled, never folded back onto the map."""
+
+    class Drift(MobilityModel):
+        def __init__(self):
+            self.queries = []
+
         def position(self, time):
-            return (0.0, 0.0)
+            self.queries.append(time)
+            return (-5.0 + 3.0 * time, 700.0)  # starts off the map
 
     world = RectMap(500.0, 500.0)
     fleet = make_models(world, 3)
-    assert supports_models(fleet)
-    assert not supports_models(fleet + [Orbit()])
-    with pytest.raises(ValueError, match="Orbit"):
-        PositionStore(fleet + [Orbit()], world)
+    drift = Drift()
+    store = PositionStore(fleet + [drift], world)
+    for t in (0.0, 0.5, 2.0):
+        xs, ys = store.arrays_at(t)
+        assert (float(xs[3]), float(ys[3])) == (-5.0 + 3.0 * t, 700.0)
+    assert drift.queries == [0.0, 0.5, 2.0]
+    # A straggler read at a fresh instant goes to the model itself.
+    assert store.position_of(3, 3.0) == (4.0, 700.0)
 
 
 def test_buffers_are_reused_across_stores():

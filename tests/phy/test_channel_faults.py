@@ -6,6 +6,8 @@ from repro.phy.channel import Channel
 from repro.phy.params import PhyParams
 from repro.sim.engine import Scheduler
 
+from tests.phy.test_channel import static_store
+
 
 class StubRadio:
     def __init__(self):
@@ -31,7 +33,7 @@ def make_channel(positions, drop_predicate=None):
     scheduler = Scheduler()
     params = PhyParams(radio_radius=100.0)
     channel = Channel(
-        scheduler, params, lambda hid: positions[hid], drop_predicate
+        scheduler, params, static_store(positions), drop_predicate
     )
     radios = []
     for host_id in range(len(positions)):

@@ -10,6 +10,8 @@ from repro.phy.channel import Channel
 from repro.phy.params import PhyParams
 from repro.sim.engine import Scheduler
 
+from tests.phy.test_channel import static_store
+
 PARAMS = PhyParams(radio_radius=100.0)
 
 
@@ -36,7 +38,7 @@ class InvariantChannel(Channel):
 def build(num_hosts, seed):
     scheduler = Scheduler()
     positions = [(i * 40.0, 0.0) for i in range(num_hosts)]
-    channel = InvariantChannel(scheduler, PARAMS, lambda hid: positions[hid])
+    channel = InvariantChannel(scheduler, PARAMS, static_store(positions))
     macs, uppers = [], []
     for host_id in range(num_hosts):
         upper = CountingUpper()
@@ -101,7 +103,7 @@ def test_unicast_always_resolves(seed, sends, drop_rate):
 
     scheduler = Scheduler()
     positions = [(0.0, 0.0), (50.0, 0.0)]
-    channel = Channel(scheduler, PARAMS, lambda hid: positions[hid], lossy)
+    channel = Channel(scheduler, PARAMS, static_store(positions), lossy)
     upper0, upper1 = CountingUpper(), CountingUpper()
     mac0 = CsmaCaMac(0, scheduler, channel, PARAMS, random.Random(seed), upper0)
     CsmaCaMac(1, scheduler, channel, PARAMS, random.Random(seed + 1), upper1)
