@@ -56,9 +56,12 @@ GOLDEN_JSON = r"""
         "end_time": 17.00467235320274,
         "events_processed": 7736,
         "fault_trace": [],
+        "frames_received": 15769,
+        "hello_updates": 13810,
         "hellos": 1021,
         "injected_drops": 0,
         "latency": 0.02496432457323124,
+        "neighbor_expirations": 78,
         "re": 0.8714689265536725,
         "srb": 0.5550165561061751,
         "total_rx_airtime": 14.455359999999992,
@@ -247,9 +250,12 @@ GOLDEN_JSON = r"""
                 31
             ]
         ],
+        "frames_received": 13062,
+        "hello_updates": 10237,
         "hellos": 954,
         "injected_drops": 924,
         "latency": 0.026623589487876888,
+        "neighbor_expirations": 352,
         "re": 0.9618506493506492,
         "srb": 0.4742617984127418,
         "total_rx_airtime": 12.110587225144348,
@@ -267,9 +273,12 @@ GOLDEN_JSON = r"""
         "end_time": 17.00467235320274,
         "events_processed": 8317,
         "fault_trace": [],
+        "frames_received": 16171,
+        "hello_updates": 13794,
         "hellos": 1021,
         "injected_drops": 0,
         "latency": 0.028160824573231696,
+        "neighbor_expirations": 78,
         "re": 0.9929378531073446,
         "srb": 0.4363763184993459,
         "total_rx_airtime": 17.855296000000028,
@@ -287,9 +296,12 @@ GOLDEN_JSON = r"""
         "end_time": 15.274227671085695,
         "events_processed": 7320,
         "fault_trace": [],
+        "frames_received": 6269,
+        "hello_updates": 0,
         "hellos": 0,
         "injected_drops": 0,
         "latency": 0.08537800000000197,
+        "neighbor_expirations": 0,
         "re": 0.9166666666666666,
         "srb": 0.0,
         "total_rx_airtime": 256.14310400000426,
@@ -418,9 +430,12 @@ GOLDEN_JSON = r"""
                 31
             ]
         ],
+        "frames_received": 1424,
+        "hello_updates": 0,
         "hellos": 0,
         "injected_drops": 136,
         "latency": 0.03179620000000105,
+        "neighbor_expirations": 0,
         "re": 0.8989785068732438,
         "srb": 0.0,
         "total_rx_airtime": 7.2789759999999895,
@@ -438,9 +453,12 @@ GOLDEN_JSON = r"""
         "end_time": 35.00467235320274,
         "events_processed": 8479,
         "fault_trace": [],
+        "frames_received": 17510,
+        "hello_updates": 14787,
         "hellos": 1090,
         "injected_drops": 0,
         "latency": 0.029972157906562973,
+        "neighbor_expirations": 132,
         "re": 0.9872881355932205,
         "srb": 0.46055689340241307,
         "total_rx_airtime": 25.381471999999953,
@@ -517,6 +535,9 @@ def fingerprint(result) -> dict:
         "fault_trace": [
             (ev.time, ev.kind, ev.host_id) for ev in result.fault_trace
         ],
+        "hello_updates": result.perf.hello_updates,
+        "neighbor_expirations": result.perf.neighbor_expirations,
+        "frames_received": result.perf.frames_received,
     }))
 
 
@@ -610,9 +631,12 @@ NETWORK_GOLDEN_JSON = r"""
         "deliveries": 2911,
         "events_processed": 2881,
         "frames_corrupted": 829,
+        "frames_received": 2911,
+        "hello_updates": 2144,
         "hellos": 278,
         "injected_drops": 0,
         "latency": 0.0251615555555552,
+        "neighbor_expirations": 68,
         "re": 0.9729064039408867,
         "srb": 0.17317906302580632,
         "total_rx_airtime": 4.576570526095915,
@@ -629,9 +653,12 @@ NETWORK_GOLDEN_JSON = r"""
         "deliveries": 7092,
         "events_processed": 2853,
         "frames_corrupted": 1662,
+        "frames_received": 7092,
+        "hello_updates": 5848,
         "hellos": 316,
         "injected_drops": 430,
         "latency": 0.018628781041108634,
+        "neighbor_expirations": 48,
         "re": 1.0,
         "srb": 0.6517647058823529,
         "total_rx_airtime": 8.231750186337997,
@@ -699,6 +726,9 @@ def _drive(scheduler, network, metrics, num_broadcasts, seed, crash=None):
         "broadcasts": stats.broadcasts,
         "backoffs_started": perf.backoffs_started,
         "frames_corrupted": perf.frames_corrupted,
+        "hello_updates": perf.hello_updates,
+        "neighbor_expirations": perf.neighbor_expirations,
+        "frames_received": perf.frames_received,
         "transmissions": ch.transmissions,
         "deliveries": ch.deliveries,
         "collisions": ch.collisions,

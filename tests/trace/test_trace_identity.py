@@ -11,6 +11,7 @@ import json
 
 from repro.experiments.runner import run_broadcast_simulation
 from repro.faults.plan import FaultPlan
+from repro.net.host import HelloConfig
 from repro.trace import TraceRecorder
 
 from tests.trace.conftest import small_config, traced_run
@@ -39,6 +40,9 @@ def fingerprint(result) -> dict:
         "fault_trace": [
             (ev.time, ev.kind, ev.host_id) for ev in result.fault_trace
         ],
+        "hello_updates": result.perf.hello_updates,
+        "neighbor_expirations": result.perf.neighbor_expirations,
+        "frames_received": result.perf.frames_received,
     }))
 
 
@@ -55,16 +59,22 @@ def test_tracing_without_sampler_is_bit_identical(traced_scenario):
 
 
 def test_tracing_under_faults_is_bit_identical():
-    config = small_config(
-        "flooding", seed=7,
-        faults=FaultPlan.parse(
-            "crash:host=3,at=6,recover=14;churn:rate=0.02,downtime=4;"
-            "loss:p=0.05"
-        ),
+    faults = FaultPlan.parse(
+        "crash:host=3,at=6,recover=14;churn:rate=0.02,downtime=4;"
+        "loss:p=0.05"
     )
-    plain = run_broadcast_simulation(config)
-    traced = run_broadcast_simulation(config, trace=TraceRecorder())
-    assert fingerprint(traced) == fingerprint(plain)
+    configs = {
+        "flooding": small_config("flooding", seed=7, faults=faults),
+        # Crashes replace neighbor tables mid-run while HELLOs flow.
+        "nc-dhi": small_config(
+            "neighbor-coverage", seed=7, faults=faults,
+            hello=HelloConfig(dynamic=True),
+        ),
+    }
+    for name, config in configs.items():
+        plain = run_broadcast_simulation(config)
+        traced = run_broadcast_simulation(config, trace=TraceRecorder())
+        assert fingerprint(traced) == fingerprint(plain), name
 
 
 def test_sampler_shifts_only_the_event_count(traced_scenario):
