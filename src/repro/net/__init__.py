@@ -16,7 +16,7 @@
 
 from repro.net.dupcache import DuplicateCache
 from repro.net.host import HelloConfig, MobileHost
-from repro.net.neighbors import NeighborEntry, NeighborTable, dynamic_hello_interval
+from repro.net.neighbors import NeighborTable, dynamic_hello_interval
 from repro.net.network import Network
 from repro.net.packets import BroadcastPacket, HelloPacket, PacketKey
 
@@ -26,7 +26,6 @@ __all__ = [
     "PacketKey",
     "DuplicateCache",
     "NeighborTable",
-    "NeighborEntry",
     "dynamic_hello_interval",
     "MobileHost",
     "HelloConfig",

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.mac.frames import DataFrame
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.connectivity import reachable_set
 from repro.mobility.map import RectMap
 from repro.mobility.models import MobilityModel, make_mobility
 from repro.mobility.store import PositionBuffers, PositionStore
 from repro.net.host import HelloConfig, MobileHost
-from repro.net.packets import BroadcastPacket
+from repro.net.neighbors import absorb_hello
+from repro.net.packets import BroadcastPacket, HelloPacket
 from repro.phy.capture import CaptureModel
 from repro.phy.channel import Channel
 from repro.phy.params import PhyParams
@@ -105,6 +107,31 @@ class Network:
                 trace=trace,
             )
             self.hosts.append(host)
+        self._mac_stats = [host.mac.stats for host in self.hosts]
+        self.channel.bulk_delivery = self._absorb_hellos
+
+    def _absorb_hellos(self, frame: Any, receiver_ids: List[int]) -> bool:
+        """The channel's bulk-delivery hook: every clean receiver of a
+        broadcast HELLO takes it in one call.
+
+        It does what each receiver's MAC -> host -> neighbor-table upcalls
+        would: one ``frames_received`` bump per MAC and one table update
+        per host.  Any other frame is declined, for the upcalls.
+        """
+        if not isinstance(frame, DataFrame) or frame.dst is not None:
+            return False
+        hello = frame.payload
+        if not isinstance(hello, HelloPacket):
+            return False
+        mac_stats = self._mac_stats
+        for host_id in receiver_ids:
+            mac_stats[host_id].frames_received += 1
+        hosts = self.hosts
+        absorb_hello(
+            [hosts[host_id].neighbor_table for host_id in receiver_ids],
+            hello, self.scheduler._now,
+        )
+        return True
 
     # ------------------------------------------------------------- queries
 

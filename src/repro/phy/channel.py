@@ -85,7 +85,10 @@ Either way:
   over the same arrays, preserving the predicate's per-pair RNG call
   order;
 - tracing or a corrupted-frame-notify listener forces the per-reception
-  dispatch loop at frame end, keeping callback/record order identical.
+  dispatch loop at frame end, keeping callback/record order identical;
+- otherwise a frame's clean receivers are first offered, all at once, to
+  the :attr:`Channel.bulk_delivery` hook, and get per-listener upcalls
+  only if it declines the frame.
 """
 
 from __future__ import annotations
@@ -277,6 +280,13 @@ class Channel:
         # Any attached listener that wants per-frame corruption upcalls
         # forces the ordered dispatch loop at frame end.
         self._any_notify = False
+        #: Optional ``hook(frame, receiver_ids) -> bool``, offered each
+        #: frame's clean receivers (a list, in receiver order) at frame end
+        #: on the untraced dispatch path.  ``True`` means the hook delivered
+        #: the frame to all of them, standing in for their
+        #: ``on_frame_received`` upcalls; ``False`` leaves them to the
+        #: upcalls.  :class:`repro.net.network.Network` sets it.
+        self.bulk_delivery: Optional[Callable[[Any, List[int]], bool]] = None
 
     @property
     def params(self) -> PhyParams:
@@ -732,9 +742,13 @@ class Channel:
                 # array; reading ``stats`` folds them into MacStats.
                 self._corrupted[corrupted_ids] += 1
             deliveries = int(delivered.size)
-            for host_id in delivered.tolist():
-                listener = listeners_get(host_id)
-                if listener is not None:
-                    listener.on_frame_received(frame, sender_id)
+            if deliveries:
+                receiver_ids = delivered.tolist()
+                bulk = self.bulk_delivery
+                if bulk is None or not bulk(frame, receiver_ids):
+                    for host_id in receiver_ids:
+                        listener = listeners_get(host_id)
+                        if listener is not None:
+                            listener.on_frame_received(frame, sender_id)
         if deliveries:
             self._stats.deliveries += deliveries

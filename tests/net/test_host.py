@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.topologies import build_static_network, line_positions
 from repro.net.host import HelloConfig
+from repro.net.packets import HelloPacket
 from repro.schemes import CounterScheme, FloodingScheme, NeighborCoverageScheme
 from repro.sim.engine import Scheduler
 
@@ -114,17 +115,36 @@ def test_hello_derived_neighbor_count_without_hellos_is_zero():
 
 
 def test_dynamic_hello_interval_announced():
+    """Host 1's HELLOs announce an interval in [hi_min, hi_max], and host 0
+    keeps host 1 listed until twice that interval after the last HELLO it
+    heard."""
     scheduler = Scheduler()
     network, _ = build_static_network(
         scheduler, line_positions(2, 400.0), NeighborCoverageScheme,
         hello_config=HelloConfig(dynamic=True, hi_min=1.0, hi_max=10.0),
     )
+    hellos = []  # (frame end, announced interval) of host 1's HELLOs
+    start_transmission = network.channel.start_transmission
+
+    def spy(sender_id, frame, duration):
+        if sender_id == 1 and isinstance(frame.payload, HelloPacket):
+            hellos.append(
+                (scheduler.now + duration, frame.payload.hello_interval)
+            )
+        start_transmission(sender_id, frame, duration)
+
+    network.channel.start_transmission = spy
     network.start()
     scheduler.run(until=15.0)
-    # Neighbors heard each other; the announced interval is recorded.
+    heard = [hello for hello in hellos if hello[0] <= 15.0]
+    assert len(heard) >= 2
+    for _, interval in hellos:
+        assert 1.0 <= interval <= 10.0
+    last_heard, interval = heard[-1]
+    deadline = last_heard + 2 * interval
     table = network.hosts[0].neighbor_table
-    entry = table._entries[1]
-    assert 1.0 <= entry.announced_interval <= 10.0
+    assert 1 in table.neighbor_ids(now=deadline)
+    assert 1 not in table.neighbor_ids(now=deadline + 1e-6)
 
 
 def test_static_hosts_send_few_dynamic_hellos():

@@ -43,6 +43,15 @@ class TestNeighborTable:
         assert table.neighbor_ids(now=15.0) == {5}  # 15 < 2 * 10
         assert table.neighbor_ids(now=21.0) == set()
 
+    def test_shorter_announced_interval_expires_earlier(self):
+        """A refresh can bring the timeout forward; purge must honour it."""
+        table = NeighborTable(default_interval=1.0)
+        table.update_from_hello(hello(5, interval=10.0), now=0.0)
+        table.update_from_hello(hello(5, interval=1.0), now=1.0)
+        assert table.neighbor_ids(now=3.0) == {5}  # 3 = 1 + 2 * 1
+        assert table.neighbor_ids(now=3.5) == set()
+        assert table.expirations == 1
+
     def test_two_hop_sets_stored(self):
         table = NeighborTable(default_interval=1.0)
         table.update_from_hello(hello(5, neighbors={7, 8}), now=0.0)
