@@ -4,7 +4,8 @@ A :class:`MobileHost` implements two interfaces at once:
 
 - :class:`repro.mac.csma.MacReceiver` -- frames coming up from the MAC are
   dispatched by type (HELLO -> neighbor table, broadcast -> duplicate check
-  then scheme S1/S4).
+  then scheme S1/S4).  Untraced runs skip this upcall for HELLOs: the
+  network enters each HELLO into all its receivers' tables at once.
 - :class:`repro.schemes.base.SchemeHost` -- services the scheme calls down
   into (position, neighbor count, MAC submission, inhibit recording).
 """

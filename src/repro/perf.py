@@ -6,9 +6,10 @@ Two layers, matching how the paper's experiments are actually debugged:
   every simulation run collects for free.  All of them are *already
   maintained* by the hot paths (the scheduler's insertion sequence, the
   channel's :class:`~repro.phy.channel.ChannelStats`, each MAC's
-  :class:`~repro.mac.csma.MacStats`, each host's position-memo hit/miss
-  pair, each :class:`~repro.net.neighbors.NeighborTable`'s update/expiry
-  tallies); :meth:`KernelPerf.collect` merely reads them out once at the
+  :class:`~repro.mac.csma.MacStats`, the
+  :class:`~repro.mobility.store.PositionStore`'s epoch-cache tallies, each
+  :class:`~repro.net.neighbors.NeighborTable`'s update/expiry tallies);
+  :meth:`KernelPerf.collect` merely reads them out once at the
   end of a run, so the simulation itself pays nothing beyond the integer
   bumps it was doing anyway.
 - :func:`profiled` / :func:`format_profile` -- an opt-in ``cProfile``
@@ -34,9 +35,12 @@ all-host evaluation or a lazy single-host read).  ``pos_batch_evals``
 counts those batched evaluations, and ``batch_scans``/``vector_candidates``
 the vectorized receiver scans and the total in-range ids they produced.
 ``hello_updates``/``neighbor_expirations`` count HELLO-driven neighbor
-table writes and lazy-heap expiries.  Channel and MAC counters mirror the
-fields of the same name on ``ChannelStats`` / ``MacStats`` (MAC counters
-are summed across hosts).
+table writes (one per receiving table, whether the HELLO was absorbed in
+bulk or through one host's upcall) and the entries purges dropped.
+``frames_received`` counts every frame a MAC took in, HELLOs absorbed in
+bulk included.  Channel and MAC counters mirror the fields of the same
+name on ``ChannelStats`` / ``MacStats`` (MAC counters are summed across
+hosts).
 """
 
 from __future__ import annotations
