@@ -1,6 +1,6 @@
 """Property-based tests: neighbor-table protocol invariants."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.net.neighbors import NeighborTable, absorb_hello
@@ -46,7 +46,22 @@ def test_table_invariants_under_random_hello_streams(hellos, default_interval):
     hellos=events,
     check_after=st.floats(0.0, 50.0),
 )
+# One ulp on the boundary: ``final - heard_at`` rounds to
+# 2.0000000000000004 while ``heard_at + 2.0`` rounds up to ``final``, so a
+# subtraction-based oracle disagrees with the table's documented rule.
+@example(
+    hellos=[
+        (1, 1.9400973041528227, None),
+        (1, 0.6463474345863487, None),
+        (1, 0.5451687743111583, None),
+        (1, 0.24209484998117237, None),
+    ],
+    check_after=2.0,
+)
 def test_purge_is_exactly_the_timeout_rule(hellos, check_after):
+    """An entry survives exactly while ``last_heard + 2 * interval`` is
+    not before the query time (the rule in ``NeighborTable``'s docstring,
+    evaluated with the same float expression)."""
     default_interval = 1.0
     table = NeighborTable(default_interval=default_interval)
     now = 0.0
@@ -60,7 +75,7 @@ def test_purge_is_exactly_the_timeout_rule(hellos, check_after):
     final = now + check_after
     alive = table.neighbor_ids(final)
     for sender, (heard_at, announced) in last.items():
-        expected_alive = final - heard_at <= 2.0 * announced
+        expected_alive = not heard_at + 2.0 * announced < final
         assert (sender in alive) == expected_alive, (
             sender, final - heard_at, announced,
         )
