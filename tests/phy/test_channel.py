@@ -295,3 +295,37 @@ def test_receivers_follow_attach_order_after_reattach():
     channel.detach(1)
     channel.attach(1, StubRadio().bind(scheduler))
     assert channel.neighbors_in_range(0) == [2, 1]
+
+
+def test_stub_listener_gets_every_edge_and_the_arrays_follow():
+    """A listener that never touches its subscription bit gets every busy
+    and idle edge, through overlaps, an abort and a detach, and the
+    channel's carrier-sense arrays agree with the last edge it saw."""
+    scheduler, channel, radios = make_channel(
+        [(0, 0), (50, 0), (100, 0), (150, 0)]
+    )
+    channel.start_transmission(0, "a", 0.002)
+    scheduler.schedule(0.001, channel.start_transmission, 2, "b", 0.002)
+    scheduler.schedule(0.005, channel.start_transmission, 1, "c", 0.002)
+    scheduler.schedule(0.006, channel.abort_transmission, 1)
+    scheduler.schedule(0.008, channel.start_transmission, 3, "d", 0.002)
+    scheduler.schedule(0.009, channel.detach, 2)
+    scheduler.run()
+    assert radios[1].medium_events == [
+        (0.0, True), (0.003, False), (0.008, True), (0.01, False),
+    ]
+    assert radios[2].medium_events == [
+        (0.0, True), (0.002, False), (0.005, True), (0.006, False),
+        (0.008, True),
+    ]
+    assert radios[3].medium_events == [
+        (0.001, True), (0.003, False), (0.005, True), (0.006, False),
+    ]
+    assert radios[0].medium_events == [
+        (0.001, True), (0.003, False), (0.005, True), (0.006, False),
+    ]
+    assert channel.stats.aborted_frames == 1
+    # Host 2 detached mid-frame: its sensed state was reset.
+    assert channel.sensed_busy.tolist() == [False, False, False, False]
+    assert channel.idle_since.tolist() == [0.006, 0.01, 0.0, 0.006]
+    assert channel.subscribed.tolist() == [True, True, False, True]
