@@ -12,7 +12,7 @@ import random
 from abc import ABC, abstractmethod
 from typing import Callable, Optional, Tuple
 
-from repro.mobility.map import RectMap, _fold
+from repro.mobility.map import RectMap
 
 __all__ = [
     "MobilityModel",
@@ -103,22 +103,6 @@ class _SegmentedMobility(MobilityModel):
         return self._world.reflect((x, y))
 
     def position(self, time: float) -> Tuple[float, float]:
-        # Fast path: inside the current segment (the overwhelmingly common
-        # case -- segments last seconds, events are microseconds apart).
-        # ``dt >= 0`` subsumes both the negative-time and the monotonicity
-        # checks; the arithmetic is exactly ``_raw_position`` + the in-map
-        # ``reflect`` fast path, so the result is bit-identical.
-        if self._started and time <= self._seg_end_time:
-            dt = time - self._seg_start_time
-            if dt >= 0:
-                origin = self._seg_origin
-                velocity = self._velocity
-                x = origin[0] + velocity[0] * dt
-                y = origin[1] + velocity[1] * dt
-                world = self._world
-                if 0.0 <= x <= world.width and 0.0 <= y <= world.height:
-                    return (x, y)
-                return (_fold(x, world.width), _fold(y, world.height))
         if time < 0:
             raise ValueError(f"negative time {time}")
         self._roll_to(time)
@@ -160,10 +144,6 @@ class RandomDirectionMobility(_SegmentedMobility):
         self._rng = rng
         self._max_speed_ms = kmh_to_ms(max_speed_kmh)
         self._duration_range = (float(lo), float(hi))
-
-    @property
-    def max_speed_ms(self) -> float:
-        return self._max_speed_ms
 
     def _next_segment(self, rng_time: float) -> Tuple[float, float, float]:
         direction = self._rng.uniform(0.0, 2.0 * math.pi)

@@ -8,8 +8,9 @@ time would make Python call overhead dominate the whole simulation.
 :class:`PositionStore` mirrors every host's current motion segment
 ``(origin, velocity, segment start/end)`` into numpy arrays and evaluates
 **all** positions for a timestamp in one batched call per *position epoch*
-(the first query at each distinct simulation time).  Subsequent queries at
-the same instant are served from the cached arrays.  A model that is not
+(the first query at each distinct simulation time, whether for all hosts
+or for one).  Subsequent queries at the same instant are served from the
+cached arrays.  A model that is not
 one of the built-ins becomes a row re-evaluated with ``model.position(t)``
 at each epoch.
 
@@ -109,8 +110,7 @@ class PositionStore:
     __slots__ = (
         "size", "_models", "_custom", "_world_w", "_world_h", "_upper",
         "_origin", "_velocity", "_t0", "_t1", "_t1_min", "xy", "_x", "_y",
-        "_time", "_lazy_time",
-        "epoch_hits", "batch_evals", "lazy_reads", "segment_rolls",
+        "_time", "epoch_hits", "batch_evals", "segment_rolls",
     )
 
     def __init__(
@@ -164,14 +164,10 @@ class PositionStore:
         #: The earliest segment end: no row is stale before this instant.
         self._t1_min = float(t1.min()) if self.size else np.inf
         self._time = -1.0
-        self._lazy_time = -1.0
         #: Queries served from the cached current-epoch arrays.
         self.epoch_hits = 0
         #: Batched all-host evaluations (one per position epoch).
         self.batch_evals = 0
-        #: Single-host reads at a not-yet-batched timestamp (delegated to
-        #: the model's own scalar fast path).
-        self.lazy_reads = 0
         #: Motion segments rolled forward during batched evaluations.
         self.segment_rolls = 0
 
@@ -206,9 +202,10 @@ class PositionStore:
         # Roll hosts whose current segment ended (or never started).  The
         # model does the rolling -- same RNG stream, same draw order as
         # querying it directly -- and the row is re-synced from its state.
-        # A row can also be stale because the model was queried directly
-        # (lazy read); _roll_to is then a no-op and the sync still repairs
-        # it.  No row is stale until ``time`` passes the earliest end.
+        # If something outside the store already rolled a model (a test
+        # querying it directly), _roll_to is a no-op and the sync still
+        # repairs the row.  No row is stale until ``time`` passes the
+        # earliest end.
         if time > self._t1_min:
             t1 = self._t1
             stale = (t1 < time).nonzero()[0].tolist()
@@ -227,8 +224,8 @@ class PositionStore:
         xy *= self._velocity
         xy += self._origin
         # Reflective fold for the segments that have left the map since
-        # their last roll; in-bounds coordinates are untouched (the
-        # models' fast path's identity).  Fixed rows (t1 == +inf) never
+        # their last roll; in-bounds coordinates are untouched, as in
+        # ``RectMap.reflect``.  Fixed rows (t1 == +inf) never
         # fold: velocity 0 keeps them at their (possibly off-map, in
         # tests) fixed point, just like StaticMobility itself.
         out = xy < 0.0
@@ -252,32 +249,18 @@ class PositionStore:
         return self._x, self._y
 
     def position_of(self, host_id: int, time: float) -> Tuple[float, float]:
-        """One host's position at ``time``.
-
-        Served from the epoch cache when the batched arrays are already at
-        ``time``.  The first straggler at a new instant (a scheme asking
-        for its own position between scans) is delegated to the model's
-        own (bit-identical) scalar fast path rather than paying an O(n)
-        epoch; a *second* single-host read at the same instant promotes it
-        to a batched epoch -- same-instant bursts (every receiver of one
-        frame delivering at its end time) then hit the cache.
-        """
+        """One host's position at ``time``, read from the batched epoch
+        (a read at a new instant evaluates it, like :meth:`arrays_at`)."""
         if time == self._time:
             self.epoch_hits += 1
-            return (float(self._x[host_id]), float(self._y[host_id]))
-        if time == self._lazy_time:
-            x, y = self.arrays_at(time)
-            self.epoch_hits += 1
-            return (float(x[host_id]), float(y[host_id]))
-        self._lazy_time = time
-        self.lazy_reads += 1
-        return self._models[host_id].position(time)
+        else:
+            self.arrays_at(time)
+        return (float(self._x[host_id]), float(self._y[host_id]))
 
     # ------------------------------------------------------------- debug
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PositionStore(n={self.size}, t={self._time}, "
-            f"epochs={self.batch_evals}, hits={self.epoch_hits}, "
-            f"lazy={self.lazy_reads})"
+            f"epochs={self.batch_evals}, hits={self.epoch_hits})"
         )

@@ -31,9 +31,10 @@ the disposition invariant ``scheduled == processed + cancelled +
 describe position reads through the
 :class:`~repro.mobility.store.PositionStore` epoch cache (a hit is served
 from the arrays already at the current timestamp; a miss is a batched
-all-host evaluation or a lazy single-host read).  ``pos_batch_evals``
-counts those batched evaluations, and ``batch_scans``/``vector_candidates``
-the vectorized receiver scans and the total in-range ids they produced.
+all-host evaluation, whether one host or all were asked for, so
+``pos_batch_evals`` equals ``pos_misses``), and
+``batch_scans``/``vector_candidates`` the vectorized receiver scans and
+the total in-range ids they produced.
 ``hello_updates``/``neighbor_expirations`` count HELLO-driven neighbor
 table writes (one per receiving table, whether the HELLO was absorbed in
 bulk or through one host's upcall) and the entries purges dropped.
@@ -114,7 +115,7 @@ class KernelPerf:
 
         store = network.position_store
         perf.pos_hits = store.epoch_hits
-        perf.pos_misses = store.batch_evals + store.lazy_reads
+        perf.pos_misses = store.batch_evals
         perf.pos_batch_evals = store.batch_evals
 
         frames_sent = frames_received = frames_corrupted = 0

@@ -68,19 +68,19 @@ def test_position_of_bit_identical_to_scalar_models():
         assert store.position_of(host_id, t) == scalar_fleet[host_id].position(t)
 
 
-def test_lazy_read_promotes_to_epoch_on_second_query():
+def test_position_of_at_new_instant_costs_one_epoch():
     world = RectMap(500.0, 500.0)
     store = PositionStore(make_models(world, 8), world)
+    # The first single-host read at an instant evaluates every host once;
+    # every later read at that instant is a cache hit.
     store.position_of(0, 1.0)
-    assert store.lazy_reads == 1
-    assert store.batch_evals == 0
-    # Second single-host read at the same instant pays the batched epoch;
-    # everything after that at t=1.0 is a cache hit.
+    assert (store.batch_evals, store.epoch_hits) == (1, 0)
     store.position_of(1, 1.0)
-    assert store.batch_evals == 1
-    hits_before = store.epoch_hits
-    store.position_of(2, 1.0)
-    assert store.epoch_hits == hits_before + 1
+    store.arrays_at(1.0)
+    store.position_of(0, 1.0)
+    assert (store.batch_evals, store.epoch_hits) == (1, 3)
+    store.position_of(2, 2.0)
+    assert (store.batch_evals, store.epoch_hits) == (2, 3)
 
 
 def test_arrays_at_rejects_time_going_backwards():
@@ -92,8 +92,8 @@ def test_arrays_at_rejects_time_going_backwards():
 
 
 def test_lazy_reads_interleave_with_batches():
-    """A lazy model query between epochs must not desync the arrays: the
-    next batched epoch re-syncs the row from the model's rolled state."""
+    """A single-host read far ahead of the last epoch rolls every segment
+    it passes, and later epochs still replay the models exactly."""
     world = RectMap(700.0, 700.0)
     store_fleet, scalar_fleet = twin_fleets(world, 10, seed=5)
     store = PositionStore(store_fleet, world)
@@ -136,8 +136,9 @@ def test_custom_models_are_reevaluated_each_epoch():
         xs, ys = store.arrays_at(t)
         assert (float(xs[3]), float(ys[3])) == (-5.0 + 3.0 * t, 700.0)
     assert drift.queries == [0.0, 0.5, 2.0]
-    # A straggler read at a fresh instant goes to the model itself.
+    # A single-host read at a fresh instant evaluates the row too.
     assert store.position_of(3, 3.0) == (4.0, 700.0)
+    assert drift.queries == [0.0, 0.5, 2.0, 3.0]
 
 
 def test_buffers_are_reused_across_stores():

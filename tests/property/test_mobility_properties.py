@@ -75,11 +75,10 @@ def test_reflect_always_lands_inside(x, y, width, height):
 
 # ------------------------------------------- fast path vs slow path
 #
-# ``reflect`` skips the fold for in-map points, and ``position`` inlines
-# the segment arithmetic when the query lands inside the current segment.
-# Both shortcuts must agree with the unconditional slow path -- within
-# 1e-12, though in practice they are bit-identical (the batched
-# PositionStore leans on exactly this equivalence).
+# ``reflect`` skips the fold for in-map points.  The shortcut must agree
+# with the unconditional slow path -- within 1e-12, though in practice it
+# is bit-identical (the batched PositionStore leans on exactly this
+# equivalence).
 
 
 @settings(max_examples=50)
@@ -99,33 +98,3 @@ def test_reflect_fast_path_matches_unconditional_fold(x, y, width, height):
         # In-map points take the identity shortcut; the fold must agree
         # exactly, or the shortcut would not be bit-safe to skip.
         assert (rx, ry) == (fx, fy) == (x, y)
-
-
-@settings(max_examples=25)
-@given(
-    seed=st.integers(0, 10_000),
-    speed=st.floats(1.0, 300.0),
-    steps=st.lists(st.floats(0.0, 10.0), min_size=5, max_size=40),
-    waypoint=st.booleans(),
-)
-def test_segmented_fast_path_matches_raw_position(seed, speed, steps, waypoint):
-    """``position`` (memoized in-segment fast path) vs ``_roll_to`` +
-    ``_raw_position`` (the slow path) on twin identically-seeded models,
-    over a randomized monotone trajectory."""
-    world = RectMap(900.0, 700.0)
-    if waypoint:
-        fast = RandomWaypointMobility(world, random.Random(seed), speed)
-        slow = RandomWaypointMobility(world, random.Random(seed), speed)
-    else:
-        fast = RandomDirectionMobility(world, random.Random(seed), speed)
-        slow = RandomDirectionMobility(world, random.Random(seed), speed)
-    t = 0.0
-    for step in steps:
-        t += step
-        fx, fy = fast.position(t)
-        slow._roll_to(t)
-        sx, sy = slow._raw_position(t)
-        assert abs(fx - sx) <= 1e-12 and abs(fy - sy) <= 1e-12
-        # The shortcut is in fact bit-exact, which is the stronger
-        # contract the golden determinism suite depends on.
-        assert (fx, fy) == (sx, sy)
