@@ -1,51 +1,52 @@
 """Connectivity snapshots over the unit-disk graph.
 
 ``e`` in the RE metric is the number of hosts reachable from the source,
-directly or indirectly, at the moment the broadcast is initiated.  Positions
-are hashed into a grid of radio-radius-sized cells so neighbor candidates
-come from the 3x3 surrounding cells only, making a snapshot O(n * density)
-instead of O(n^2).
+directly or indirectly, at the moment the broadcast is initiated.  A
+snapshot is a breadth-first search taken one level at a time: each step
+is one numpy distance mask from the hosts reached last to the hosts not
+yet reached, with the channel's receiver-scan test ``dx*dx + dy*dy <=
+r*r``, so a host exactly ``r`` away is in range.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
 from typing import Dict, Hashable, List, Set, Tuple
 
-__all__ = ["reachable_set", "connected_components"]
+import numpy as np
+
+__all__ = ["reachable_rows", "reachable_set", "connected_components"]
 
 Position = Tuple[float, float]
 
 
-def _grid_index(
-    positions: Dict[Hashable, Position], cell: float
-) -> Dict[Tuple[int, int], List[Hashable]]:
-    grid: Dict[Tuple[int, int], List[Hashable]] = defaultdict(list)
-    for host_id, (x, y) in positions.items():
-        grid[(int(x // cell), int(y // cell))].append(host_id)
-    return grid
-
-
-def _neighbors(
-    host_id: Hashable,
-    positions: Dict[Hashable, Position],
-    grid: Dict[Tuple[int, int], List[Hashable]],
+def reachable_rows(
+    x: np.ndarray,
+    y: np.ndarray,
+    source: int,
+    candidates: np.ndarray,
     radius: float,
-) -> List[Hashable]:
-    x, y = positions[host_id]
-    cx, cy = int(x // radius), int(y // radius)
-    rr = radius * radius
-    out = []
-    for gx in (cx - 1, cx, cx + 1):
-        for gy in (cy - 1, cy, cy + 1):
-            for other in grid.get((gx, gy), ()):
-                if other == host_id:
-                    continue
-                ox, oy = positions[other]
-                dx, dy = x - ox, y - oy
-                if dx * dx + dy * dy <= rr:
-                    out.append(other)
-    return out
+) -> np.ndarray:
+    """The rows of ``candidates`` reachable from row ``source`` by
+    multihop paths through other candidates, in no particular order.
+
+    ``x`` and ``y`` hold every row's coordinates; ``candidates`` is an
+    index array that must not contain ``source``.
+    """
+    radius_sq = radius * radius
+    frontier = np.array([source])
+    left = candidates
+    reached = []
+    while frontier.size and left.size:
+        dx = x[left] - x[frontier, None]
+        dy = y[left] - y[frontier, None]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        hit = (dx <= radius_sq).any(axis=0)
+        frontier = left[hit]
+        left = left[~hit]
+        reached.append(frontier)
+    return np.concatenate(reached) if reached else left[:0]
 
 
 def reachable_set(
@@ -56,32 +57,11 @@ def reachable_set(
         raise KeyError(f"source {source!r} has no position")
     if radius <= 0:
         raise ValueError(f"radius must be > 0, got {radius}")
-    grid = _grid_index(positions, radius)
-    visited = {source}
-    queue = deque([source])
-    rr = radius * radius
-    grid_get = grid.get
-    pop = queue.popleft
-    push = queue.append
-    while queue:
-        current = pop()
-        x, y = positions[current]
-        cx, cy = int(x // radius), int(y // radius)
-        for gx in (cx - 1, cx, cx + 1):
-            for gy in (cy - 1, cy, cy + 1):
-                for other in grid_get((gx, gy), ()):
-                    # Checking ``visited`` first also skips ``current``
-                    # itself, which is always visited.
-                    if other in visited:
-                        continue
-                    ox, oy = positions[other]
-                    dx = x - ox
-                    dy = y - oy
-                    if dx * dx + dy * dy <= rr:
-                        visited.add(other)
-                        push(other)
-    visited.discard(source)
-    return visited
+    ids = list(positions)
+    x, y = np.array(list(positions.values()), dtype=np.float64).T
+    row = ids.index(source)
+    others = np.delete(np.arange(len(ids)), row)
+    return {ids[i] for i in reachable_rows(x, y, row, others, radius).tolist()}
 
 
 def connected_components(

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.mac.frames import DataFrame
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.connectivity import reachable_set
+from repro.metrics.connectivity import reachable_rows
 from repro.mobility.map import RectMap
 from repro.mobility.models import MobilityModel, make_mobility
 from repro.mobility.store import PositionBuffers, PositionStore
@@ -149,8 +151,6 @@ class Network:
 
     def alive_positions(self) -> Dict[int, Tuple[float, float]]:
         """Positions of alive hosts only (crashed radios cannot relay)."""
-        # One batched epoch instead of n single-host reads: the
-        # connectivity snapshot queries every host at one instant.
         xs, ys = self.position_store.arrays_at(self.scheduler._now)
         return {
             h.host_id: (float(xs[h.host_id]), float(ys[h.host_id]))
@@ -164,11 +164,20 @@ class Network:
 
         Crashed hosts are excluded both as destinations and as relays, so
         the ``e`` of RE measures what is *physically attainable* at
-        initiation time -- the graceful-degradation denominator.
+        initiation time -- the graceful-degradation denominator.  A source
+        that is not an alive host raises ``KeyError``.
         """
-        return reachable_set(
-            self.alive_positions(), source_id, self.params.radio_radius
+        hosts = self.hosts
+        if not (0 <= source_id < len(hosts) and hosts[source_id].alive):
+            raise KeyError(f"source {source_id!r} is not an alive host")
+        others = np.fromiter(
+            (h.alive for h in hosts), dtype=bool, count=len(hosts)
         )
+        others[source_id] = False
+        x, y = self.position_store.arrays_at(self.scheduler._now)
+        return set(reachable_rows(
+            x, y, source_id, others.nonzero()[0], self.params.radio_radius
+        ).tolist())
 
     # ----------------------------------------------------------- lifecycle
 

@@ -35,7 +35,8 @@ def test_range_boundary_inclusive():
 
 
 def test_multihop_through_grid_cells():
-    """Hosts in far-apart grid cells still connect through relays."""
+    """Hosts many radii apart still connect through relays, one BFS
+    level per hop."""
     positions = {i: (i * 0.95, 0.0) for i in range(20)}
     assert reachable_set(positions, 0, radius=1.0) == set(range(1, 20))
 
@@ -63,7 +64,7 @@ def test_connected_components_sorted_by_size():
 
 
 def test_matches_networkx_on_random_layouts():
-    """Cross-check the grid-bucketed BFS against networkx."""
+    """Cross-check the level-by-level BFS against networkx."""
     rng = random.Random(42)
     for trial in range(10):
         positions = {

@@ -1,5 +1,8 @@
 """Network construction, connectivity snapshots and broadcast initiation."""
 
+import random
+
+import networkx as nx
 import pytest
 
 from repro.experiments.topologies import (
@@ -123,3 +126,67 @@ def test_same_seed_reproduces_mobility():
 
     assert build(5) == build(5)
     assert build(5) != build(6)
+
+
+# --------------------------------------------- RE snapshot vs networkx
+
+
+def alive_component(network, source_id):
+    """The alive hosts reachable from ``source_id`` through alive relays
+    (source excluded), from networkx on a unit-disk graph built pair by
+    pair."""
+    positions = network.alive_positions()
+    radius_sq = network.params.radio_radius ** 2
+    graph = nx.Graph()
+    graph.add_nodes_from(positions)
+    ids = sorted(positions)
+    for i, a in enumerate(ids):
+        ax, ay = positions[a]
+        for b in ids[i + 1:]:
+            bx, by = positions[b]
+            if (ax - bx) ** 2 + (ay - by) ** 2 <= radius_sq:
+                graph.add_edge(a, b)
+    return set(nx.node_connected_component(graph, source_id)) - {source_id}
+
+
+def test_snapshot_links_hosts_exactly_r_apart_and_skips_crashed():
+    scheduler = Scheduler()
+    network, _ = build_static_network(
+        scheduler, line_positions(6, 500.0), FloodingScheme
+    )
+    assert network.reachable_from(0) == {1, 2, 3, 4, 5}
+    network.crash_host(3)
+    for source_id in (0, 2, 4):
+        assert network.reachable_from(source_id) == alive_component(
+            network, source_id
+        )
+    assert network.reachable_from(0) == {1, 2}
+    assert network.reachable_from(4) == {5}
+    with pytest.raises(KeyError):
+        network.reachable_from(3)
+
+
+def test_snapshot_matches_networkx_on_lattice_layouts():
+    """Hosts on a 100 m lattice, so many pairs are exactly 500 m apart
+    (on an axis, or as a 300-400-500 diagonal), with a fifth crashed."""
+    rng = random.Random(7)
+    for _ in range(5):
+        positions = [
+            (100.0 * rng.randrange(16), 100.0 * rng.randrange(16))
+            for _ in range(30)
+        ]
+        scheduler = Scheduler()
+        network, _ = build_static_network(
+            scheduler, positions, FloodingScheme
+        )
+        crashed = rng.sample(range(30), 6)
+        for host_id in crashed:
+            network.crash_host(host_id)
+        for source_id in range(30):
+            if source_id in crashed:
+                with pytest.raises(KeyError):
+                    network.reachable_from(source_id)
+            else:
+                assert network.reachable_from(source_id) == alive_component(
+                    network, source_id
+                ), source_id
