@@ -96,10 +96,11 @@ Either way:
 - per-host rx airtime and MAC ``frames_corrupted`` tallies accumulate in
   arrays and are folded into their dict/stats form whenever
   :attr:`Channel.stats` is read;
-- a ``drop_predicate`` (stateful fault-injected loss) or a capture model
-  switches the scan from whole-array operations to a per-receiver loop
-  over the same arrays, preserving the predicate's per-pair RNG call
-  order;
+- a frame's arrivals that are corrupted from their start form one mask:
+  deaf (the receiver is transmitting) or dropped by the
+  ``drop_predicate``, which is asked once about every other receiver, in
+  attach order, so a stateful predicate draws its RNG in that order.
+  The batched overlap rule and, with capture, the inbox read that mask;
 - tracing or a corrupted-frame-notify listener forces the per-reception
   dispatch loop at frame end, keeping callback/record order identical;
 - otherwise a frame's clean receivers are first offered, all at once, to
@@ -525,11 +526,10 @@ class Channel:
         stats.transmissions += 1
         stats.add_tx_airtime(sender_id, duration)
 
-        # (deaf_misses / injected_drops / collisions accumulate in locals
-        # through the receiver scan; slot stores are hoisted out.)
+        # (deaf_misses / collisions accumulate in locals through the
+        # receiver scan; slot stores are hoisted out.)
         deaf_misses = 0
         collisions = 0
-        injected_drops = 0
         drop_predicate = self._drop_predicate
         inflight = self._inflight
         clean_sender = self._clean_sender
@@ -576,20 +576,36 @@ class Channel:
                 n_fresh = np.count_nonzero(fresh)
                 if n_fresh < ids.size:
                     newly_busy = ids[fresh]
+                # Arrivals corrupted from their start: deaf (the receiver
+                # is transmitting) or dropped (the predicate is asked about
+                # every other receiver, in attach order).
+                corrupted = transmitting[ids]
+                n_deaf = int(np.count_nonzero(corrupted))
+                deaf_misses += n_deaf
+                n_corrupted = n_deaf
+                if drop_predicate is not None:
+                    corrupted = np.array([
+                        deaf or drop_predicate(sender_id, host_id)
+                        for host_id, deaf in zip(
+                            ids.tolist(), corrupted.tolist()
+                        )
+                    ], dtype=bool)
+                    n_corrupted = int(np.count_nonzero(corrupted))
+                    stats.injected_drops += n_corrupted - n_deaf
                 if inboxes is not None:
-                    self._arrive_capture(sender_id, dsq[ids], ids, prev)
-                elif drop_predicate is None:
-                    deaf = transmitting[ids]
-                    n_deaf = int(np.count_nonzero(deaf))
-                    deaf_misses += n_deaf
+                    collisions += self._arrive_capture(
+                        sender_id, dsq[ids], ids, prev, corrupted
+                    )
+                else:
                     if n_fresh == ids.size:
-                        new_clean = ids[~deaf] if n_deaf else ids
+                        new_clean = ids[~corrupted] if n_corrupted else ids
                     else:
                         # Overlap rule, batched: the (at most one) clean
                         # reception already at each overlapped receiver
                         # flips, and the new arrival lands corrupted --
-                        # one collision each, unless it was already deaf.
-                        overlap_ids = ids[~fresh]
+                        # one collision each, unless it already was.
+                        overlapped = ~fresh
+                        overlap_ids = ids[overlapped]
                         old_clean = overlap_ids[
                             clean_sender[overlap_ids] >= 0
                         ]
@@ -597,41 +613,19 @@ class Channel:
                             collisions += old_clean.size
                             clean_sender[old_clean] = -1
                         collisions += overlap_ids.size - int(
-                            np.count_nonzero(transmitting[overlap_ids])
+                            np.count_nonzero(corrupted[overlapped])
                         )
                         new_clean = (
-                            newly_busy[~transmitting[newly_busy]]
-                            if n_deaf else newly_busy
+                            ids[fresh & ~corrupted] if n_corrupted
+                            else newly_busy
                         )
                     if new_clean.size:
                         clean_sender[new_clean] = sender_id
-                else:
-                    # Stateful drop predicates draw RNG per (sender,
-                    # receiver) pair: iterate receivers in attach order
-                    # over the same arrays the batched path updates.
-                    for host_id, count in zip(ids.tolist(), prev.tolist()):
-                        corrupted = False
-                        if transmitting[host_id]:
-                            corrupted = True
-                            deaf_misses += 1
-                        elif drop_predicate(sender_id, host_id):
-                            corrupted = True
-                            injected_drops += 1
-                        if count:
-                            if clean_sender[host_id] >= 0:
-                                clean_sender[host_id] = -1
-                                collisions += 1
-                            if not corrupted:
-                                collisions += 1
-                        elif not corrupted:
-                            clean_sender[host_id] = sender_id
 
         if deaf_misses:
             stats.deaf_misses += deaf_misses
         if collisions:
             stats.collisions += collisions
-        if injected_drops:
-            stats.injected_drops += injected_drops
         if self._trace is not None:
             kind, src, seq, hops = frame_ident(frame)
             self._trace.records.append((
@@ -650,11 +644,13 @@ class Channel:
         dsq: np.ndarray,
         ids: np.ndarray,
         prev: np.ndarray,
-    ) -> None:
+        corrupted: np.ndarray,
+    ) -> int:
         """Land one frame in each receiver's capture inbox, in attach
-        order.  ``dsq`` holds the receivers' squared distances from the
-        sender (the ones the scan compared against the radius) and
-        ``prev`` their in-flight counts before this frame.
+        order, and return the collisions it caused.  ``dsq`` holds the
+        receivers' squared distances from the sender (the ones the scan
+        compared against the radius), ``prev`` their in-flight counts
+        before this frame and ``corrupted`` whether it arrives corrupted.
 
         Each still-clean frame in an overlap survives only if its power
         beats the summed power of the others by the capture threshold;
@@ -664,24 +660,13 @@ class Channel:
         capture = self._capture
         power_of = capture.power
         survives = capture.survives
-        drop_predicate = self._drop_predicate
         inboxes = self._inboxes
-        deaf_misses = collisions = injected_drops = 0
-        for host_id, dist_sq, deaf, count in zip(
-            ids.tolist(), dsq.tolist(), self._transmitting[ids].tolist(),
-            prev.tolist(),
+        collisions = 0
+        for host_id, dist_sq, garbled, count in zip(
+            ids.tolist(), dsq.tolist(), corrupted.tolist(), prev.tolist(),
         ):
-            corrupted = False
-            if deaf:
-                corrupted = True
-                deaf_misses += 1
-            elif drop_predicate is not None and drop_predicate(
-                sender_id, host_id
-            ):
-                corrupted = True
-                injected_drops += 1
             inbox = inboxes[host_id]
-            inbox[sender_id] = [power_of(dist_sq ** 0.5), corrupted]
+            inbox[sender_id] = [power_of(dist_sq ** 0.5), garbled]
             if not count:
                 continue
             total = sum(r[_RX_POWER] for r in inbox.values())
@@ -692,10 +677,7 @@ class Channel:
                 if not survives(power, total - power):
                     reception[_RX_CORRUPTED] = True
                     collisions += 1
-        stats = self._stats
-        stats.deaf_misses += deaf_misses
-        stats.collisions += collisions
-        stats.injected_drops += injected_drops
+        return collisions
 
     def _notify_busy(self, host_ids: np.ndarray) -> None:
         """The zero-delay busy edge of the hosts a frame found idle."""
