@@ -119,7 +119,7 @@ def campaign_results_payload(
 
     ``include_resources=True`` (the ``campaign run --resources`` flag)
     adds an aggregate ``"resources"`` block (peak RSS across runs, summed
-    GC/wall/subsystem time).  It is **opt-in precisely because** those
+    GC collections and wall time).  It is **opt-in precisely because** those
     quantities are wall-clock noise: enabling it forfeits the
     byte-identity guarantee above, which the resume tests pin.
     """

@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="no per-run progress lines")
     crun_p.add_argument("--resources", action="store_true",
                         help="add an aggregate resource profile (peak RSS, "
-                        "GC, subsystem wall estimate) to results.json; "
+                        "GC collections, wall time) to results.json; "
                         "opt-in because it makes the file depend on the "
                         "host machine, forfeiting resume byte-identity")
 

@@ -63,10 +63,10 @@ class SimulationResult:
     #: value equality (the counters themselves are deterministic, but a
     #: cached result may predate the field).
     perf: Optional[KernelPerf] = field(default=None, compare=False)
-    #: What the run cost the process (peak RSS, GC pressure, subsystem
-    #: wall estimate; see :class:`repro.telemetry.resources.
-    #: ResourceProfile`).  Host-machine noise: excluded from equality,
-    #: and ``None`` on results unpickled from a pre-resources cache.
+    #: What the run cost the process (peak RSS, GC collections, wall
+    #: time; see :class:`repro.telemetry.resources.ResourceProfile`).
+    #: Host-machine noise: excluded from equality, and ``None`` on
+    #: results unpickled from a pre-resources cache.
     resources: Optional["ResourceProfile"] = field(default=None, compare=False)
 
     @property
@@ -233,14 +233,12 @@ def run_broadcast_simulation(
         channel_stats=network.channel.stats,
         end_time=end_time,
         events_processed=scheduler.events_processed,
-        backoffs_started=sum(
-            host.mac.stats.backoffs_started for host in network.hosts
-        ),
+        backoffs_started=perf.backoffs_started,
         fault_trace=list(injector.trace) if injector is not None else [],
         broadcasts_skipped=metrics.broadcasts_skipped,
         wall_time=wall_time,
         perf=perf,
-        resources=monitor.finish(wall_time, perf),
+        resources=monitor.finish(wall_time),
     )
 
 

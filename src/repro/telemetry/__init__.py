@@ -11,8 +11,8 @@ benchmark documents (one-off measurements):
 - :mod:`repro.telemetry.expose` -- Prometheus text exposition (the
   service's ``GET /metrics``) plus a strict validator.
 - :mod:`repro.telemetry.resources` -- per-run resource profiles (peak
-  RSS, GC activity, activity-weighted subsystem wall-time) attached to
-  every :class:`~repro.experiments.runner.SimulationResult`.
+  RSS, GC collections, wall time) attached to every
+  :class:`~repro.experiments.runner.SimulationResult`.
 - :mod:`repro.telemetry.bench` -- ``BENCH_*.json`` trajectory tracking:
   ``repro-manet bench record`` appends to ``bench_history.jsonl``,
   ``bench check`` gates on regressions vs a rolling baseline.

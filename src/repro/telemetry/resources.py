@@ -1,23 +1,19 @@
-"""Per-run resource accounting: peak RSS, GC pressure, subsystem wall-time.
+"""Per-run resource accounting: peak RSS, GC collections, wall time.
 
 Complements :class:`repro.perf.KernelPerf` (what the kernel *did*) with
-what the run *cost the process*: peak resident set size, how many
-garbage collections ran, and an attribution of the run's wall time
-across kernel subsystems.  The SLP toolchain ships the same layer around
-its simulators (per-job resource accounting next to the result payload);
-here it rides on every :class:`~repro.experiments.runner.SimulationResult`
-as the ``resources`` block and flows through
-:func:`repro.experiments.io.result_to_dict` into run JSON.
+what the run *cost the process*, as measured: peak resident set size,
+how many garbage collections ran, and the run's wall time.  The SLP
+toolchain ships the same layer around its simulators (per-job resource
+accounting next to the result payload); here it rides on every
+:class:`~repro.experiments.runner.SimulationResult` as the ``resources``
+block and flows through :func:`repro.experiments.io.result_to_dict` into
+run JSON.
 
-Two honesty notes, reflected in the field names:
-
-- ``peak_rss_bytes`` is the **process-lifetime** peak at the end of the
-  run (``ru_maxrss`` never decreases), not a per-run delta -- a batch's
-  later runs inherit the peak of earlier ones.
-- ``subsystem_wall`` is an **activity-weighted estimate**: the run's
-  measured wall time split proportionally to each subsystem's
-  :class:`KernelPerf` operation counts.  It ranks where time goes and
-  tracks real shifts across code versions; it is not a profiler.
+``peak_rss_bytes`` is the **process-lifetime** peak at the end of the
+run (``ru_maxrss`` never decreases), not a per-run delta -- a batch's
+later runs inherit the peak of earlier ones.  Where the time went, per
+layer, is measured by the paper-workload benchmark's traced pass
+(``python3 bench/run.py --workload W --trace 1``), not estimated here.
 
 Everything is stdlib; on platforms without the ``resource`` module
 (Windows) RSS reports 0 rather than failing.
@@ -27,8 +23,8 @@ from __future__ import annotations
 
 import gc
 import sys
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from dataclasses import dataclass
+from typing import Any, Dict
 
 __all__ = ["ResourceProfile", "ResourceMonitor", "peak_rss_bytes"]
 
@@ -54,41 +50,6 @@ def _gc_collections() -> int:
     return sum(stat.get("collections", 0) for stat in gc.get_stats())
 
 
-#: KernelPerf counters used as per-subsystem activity weights.  Each
-#: entry maps a subsystem to the counter names whose sum is its weight.
-SUBSYSTEM_COUNTERS: Dict[str, tuple] = {
-    "scheduler": ("events_processed", "events_cancelled"),
-    "channel": ("transmissions", "deliveries", "collisions", "deaf_misses"),
-    "mac": ("frames_sent", "frames_received", "frames_corrupted",
-            "backoffs_started"),
-    "mobility": ("pos_misses", "pos_batch_evals"),
-    "hello": ("hello_updates", "neighbor_expirations"),
-}
-
-
-def subsystem_wall_estimate(
-    wall_time: float, perf: Optional[Any]
-) -> Dict[str, float]:
-    """Split ``wall_time`` across subsystems by KernelPerf activity.
-
-    Returns ``{}`` when there are no counters to weight by (no perf
-    block, or a run that did nothing).
-    """
-    if perf is None or wall_time <= 0.0:
-        return {}
-    weights = {
-        name: float(sum(getattr(perf, counter, 0) for counter in counters))
-        for name, counters in SUBSYSTEM_COUNTERS.items()
-    }
-    total = sum(weights.values())
-    if total <= 0.0:
-        return {}
-    return {
-        name: wall_time * weight / total
-        for name, weight in sorted(weights.items())
-    }
-
-
 @dataclass
 class ResourceProfile:
     """What one simulation run cost the process."""
@@ -97,24 +58,15 @@ class ResourceProfile:
     peak_rss_bytes: int = 0
     #: Garbage collections that ran during the run (all generations).
     gc_collections: int = 0
-    #: Net live-object growth across the run (``len(gc.get_objects())``
-    #: is too slow to take; this is the gen-0 allocation counter delta,
-    #: a cheap churn proxy).  May be negative after a collection.
-    gc_objects_delta: int = 0
     #: The run's measured wall time (same value as
     #: ``SimulationResult.wall_time``).
     wall_time: float = 0.0
-    #: Activity-weighted estimate of wall time per kernel subsystem
-    #: (see module docstring; keys from :data:`SUBSYSTEM_COUNTERS`).
-    subsystem_wall: Dict[str, float] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
         return {
             "peak_rss_bytes": self.peak_rss_bytes,
             "gc_collections": self.gc_collections,
-            "gc_objects_delta": self.gc_objects_delta,
             "wall_time": self.wall_time,
-            "subsystem_wall": dict(self.subsystem_wall),
         }
 
     @classmethod
@@ -122,21 +74,14 @@ class ResourceProfile:
         return cls(
             peak_rss_bytes=data.get("peak_rss_bytes", 0),
             gc_collections=data.get("gc_collections", 0),
-            gc_objects_delta=data.get("gc_objects_delta", 0),
             wall_time=data.get("wall_time", 0.0),
-            subsystem_wall=dict(data.get("subsystem_wall", {})),
         )
 
     def merge(self, other: "ResourceProfile") -> "ResourceProfile":
         """Aggregate across runs: peaks max, counters sum; ``self``."""
         self.peak_rss_bytes = max(self.peak_rss_bytes, other.peak_rss_bytes)
         self.gc_collections += other.gc_collections
-        self.gc_objects_delta += other.gc_objects_delta
         self.wall_time += other.wall_time
-        for name, value in other.subsystem_wall.items():
-            self.subsystem_wall[name] = (
-                self.subsystem_wall.get(name, 0.0) + value
-            )
         return self
 
 
@@ -148,22 +93,15 @@ class ResourceMonitor:
     unconditionally (no arming needed, unlike the metrics registry).
     """
 
-    __slots__ = ("_gc_collections", "_gc_allocated")
+    __slots__ = ("_gc_collections",)
 
     def start(self) -> "ResourceMonitor":
         self._gc_collections = _gc_collections()
-        counts = gc.get_count()
-        self._gc_allocated = counts[0]
         return self
 
-    def finish(
-        self, wall_time: float, perf: Optional[Any] = None
-    ) -> ResourceProfile:
-        counts = gc.get_count()
+    def finish(self, wall_time: float) -> ResourceProfile:
         return ResourceProfile(
             peak_rss_bytes=peak_rss_bytes(),
             gc_collections=_gc_collections() - self._gc_collections,
-            gc_objects_delta=counts[0] - self._gc_allocated,
             wall_time=wall_time,
-            subsystem_wall=subsystem_wall_estimate(wall_time, perf),
         )

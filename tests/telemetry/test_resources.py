@@ -2,17 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.io import result_from_dict, result_to_dict
 from repro.experiments.runner import run_broadcast_simulation
-from repro.perf import KernelPerf
 from repro.telemetry.resources import (
     ResourceMonitor,
     ResourceProfile,
     peak_rss_bytes,
-    subsystem_wall_estimate,
 )
 
 TINY = ScenarioConfig(
@@ -24,29 +20,10 @@ def test_peak_rss_is_positive_on_posix():
     assert peak_rss_bytes() > 1 << 20  # any Python process exceeds 1 MiB
 
 
-def test_subsystem_estimate_partitions_wall_time():
-    perf = KernelPerf()
-    perf.events_processed = 600
-    perf.transmissions = 300
-    perf.hello_updates = 100
-    split = subsystem_wall_estimate(2.0, perf)
-    assert {k for k, v in split.items() if v > 0} == {
-        "scheduler", "channel", "hello",
-    }
-    assert sum(split.values()) == pytest.approx(2.0)
-    assert split["scheduler"] == pytest.approx(1.2)  # 600/1000 of 2s
-
-
-def test_subsystem_estimate_degenerate_cases():
-    assert subsystem_wall_estimate(1.0, None) == {}
-    assert subsystem_wall_estimate(0.0, KernelPerf()) == {}
-    assert subsystem_wall_estimate(1.0, KernelPerf()) == {}  # no activity
-
-
 def test_monitor_brackets_a_run():
     monitor = ResourceMonitor().start()
     junk = [list(range(100)) for _ in range(1000)]  # allocate something
-    profile = monitor.finish(0.5, None)
+    profile = monitor.finish(0.5)
     assert profile.peak_rss_bytes > 0
     assert profile.wall_time == 0.5
     assert profile.gc_collections >= 0
@@ -59,7 +36,6 @@ def test_every_simulation_result_carries_resources():
     assert profile is not None
     assert profile.peak_rss_bytes > 0
     assert profile.wall_time == result.wall_time
-    assert sum(profile.subsystem_wall.values()) > 0
 
 
 def test_resources_round_trip_through_json():
@@ -86,29 +62,18 @@ def test_resources_excluded_from_equality():
 
 
 def test_profile_merge_maxes_peaks_and_sums_counters():
-    a = ResourceProfile(
-        peak_rss_bytes=100, gc_collections=2, gc_objects_delta=10,
-        wall_time=1.0, subsystem_wall={"scheduler": 0.6, "channel": 0.4},
-    )
-    b = ResourceProfile(
-        peak_rss_bytes=300, gc_collections=1, gc_objects_delta=-4,
-        wall_time=2.0, subsystem_wall={"scheduler": 1.5, "mac": 0.5},
-    )
+    a = ResourceProfile(peak_rss_bytes=100, gc_collections=2, wall_time=1.0)
+    b = ResourceProfile(peak_rss_bytes=300, gc_collections=1, wall_time=2.0)
     merged = a.merge(b)
     assert merged is a
     assert merged.peak_rss_bytes == 300
     assert merged.gc_collections == 3
-    assert merged.gc_objects_delta == 6
     assert merged.wall_time == 3.0
-    assert merged.subsystem_wall == {
-        "scheduler": 2.1, "channel": 0.4, "mac": 0.5,
-    }
 
 
 def test_profile_dict_round_trip():
     profile = ResourceProfile(
-        peak_rss_bytes=7, gc_collections=1, gc_objects_delta=-2,
-        wall_time=0.25, subsystem_wall={"mac": 0.25},
+        peak_rss_bytes=7, gc_collections=1, wall_time=0.25
     )
     assert ResourceProfile.from_dict(profile.as_dict()) == profile
     assert ResourceProfile.from_dict({}) == ResourceProfile()
