@@ -1,7 +1,8 @@
 """Stateful link-loss processes, composable with ``Channel.drop_predicate``.
 
 Both models expose ``should_drop(sender_id, receiver_id) -> bool``, the same
-signature the channel consults once per (frame, in-range receiver).  Each
+signature the channel consults once per (frame, in-range receiver that is
+not itself transmitting).  Each
 directed link draws from its own deterministic RNG substream (derived from
 the fault seed and the link identity), so the loss pattern on link A->B does
 not depend on how many frames crossed link C->D -- the per-link sequences
@@ -20,10 +21,11 @@ from repro.sim.randomness import RandomStreams
 __all__ = ["BernoulliLoss", "GilbertElliottLoss", "make_loss_model"]
 
 
-class BernoulliLoss:
-    """Memoryless per-frame loss with probability ``p`` on every link."""
+class _LinkLoss:
+    """Per-directed-link RNG substreams, each made at the link's first
+    frame."""
 
-    def __init__(self, spec: BernoulliLossSpec, streams: RandomStreams) -> None:
+    def __init__(self, spec, streams: RandomStreams) -> None:
         self.spec = spec
         self._streams = streams
         self._rngs: Dict[Tuple[int, int], random.Random] = {}
@@ -36,13 +38,17 @@ class BernoulliLoss:
             self._rngs[key] = rng
         return rng
 
+
+class BernoulliLoss(_LinkLoss):
+    """Memoryless per-frame loss with probability ``p`` on every link."""
+
     def should_drop(self, sender_id: int, receiver_id: int) -> bool:
         if self.spec.p <= 0.0:
             return False
         return self._rng(sender_id, receiver_id).random() < self.spec.p
 
 
-class GilbertElliottLoss:
+class GilbertElliottLoss(_LinkLoss):
     """Per-link two-state burst-loss chain (Gilbert-Elliott).
 
     The chain advances once per frame observed on the link; state persists
@@ -53,18 +59,8 @@ class GilbertElliottLoss:
     def __init__(
         self, spec: GilbertElliottLossSpec, streams: RandomStreams
     ) -> None:
-        self.spec = spec
-        self._streams = streams
-        self._rngs: Dict[Tuple[int, int], random.Random] = {}
+        super().__init__(spec, streams)
         self._bad: Dict[Tuple[int, int], bool] = {}
-
-    def _rng(self, sender_id: int, receiver_id: int) -> random.Random:
-        key = (sender_id, receiver_id)
-        rng = self._rngs.get(key)
-        if rng is None:
-            rng = self._streams.stream(f"link/{sender_id}->{receiver_id}")
-            self._rngs[key] = rng
-        return rng
 
     def link_state(self, sender_id: int, receiver_id: int) -> str:
         """Current chain state of the directed link (for tests)."""

@@ -15,6 +15,7 @@ ties fall back to FIFO order.  Given the same seed (see
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, List, Optional
 
 __all__ = ["Event", "Scheduler", "SimulationError"]
@@ -241,31 +242,23 @@ class Scheduler:
         # Husk accounting from _pop() is inlined.
         queue = self._queue
         heappop = heapq.heappop
+        bounded = until is not None
+        if not bounded:
+            until = math.inf
         try:
-            if until is None:
-                while queue:
-                    event = heappop(queue)[3]
-                    event._sched = None
-                    if event.cancelled:
-                        self._cancelled_in_queue -= 1
-                        continue
-                    self._now = event.time
-                    self._events_processed += 1
-                    event.fn(*event.args)
-            else:
-                while queue:
-                    if queue[0][0] > until:
-                        break
-                    event = heappop(queue)[3]
-                    event._sched = None
-                    if event.cancelled:
-                        self._cancelled_in_queue -= 1
-                        continue
-                    self._now = event.time
-                    self._events_processed += 1
-                    event.fn(*event.args)
-                if until > self._now:
-                    self._now = until
+            while queue:
+                if queue[0][0] > until:
+                    break
+                event = heappop(queue)[3]
+                event._sched = None
+                if event.cancelled:
+                    self._cancelled_in_queue -= 1
+                    continue
+                self._now = event.time
+                self._events_processed += 1
+                event.fn(*event.args)
+            if bounded and until > self._now:
+                self._now = until
         finally:
             self._running = False
         return self._now
