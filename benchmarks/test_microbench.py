@@ -73,7 +73,7 @@ def test_channel_transmission_fanout(benchmark):
 
 
 def test_connectivity_snapshot_cost(benchmark):
-    """BFS over 500 hosts with grid bucketing."""
+    """Level-by-level numpy BFS over 500 hosts."""
     rng = random.Random(3)
     positions = {
         i: (rng.uniform(0, 5000), rng.uniform(0, 5000)) for i in range(500)
