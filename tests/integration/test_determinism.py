@@ -10,6 +10,7 @@ rejected, however small the numeric difference looks.
 
 Scenarios cover every scheme family the paper sweeps: blind flooding on
 the dense single-unit map, the counter and location adaptive schemes,
+the fixed-threshold location scheme on the dense map,
 neighbor-coverage with dynamic HELLO intervals, and flooding under a
 fault plan (crash + churn + loss) including the executed fault trace.
 Adaptive counter also runs with a capture model under churn and bursty
@@ -442,6 +443,29 @@ GOLDEN_JSON = r"""
         "total_tx_airtime": 0.8949760000000003,
         "transmissions": 368
     },
+    "location": {
+        "aborted_frames": 0,
+        "backoffs_started": 2009,
+        "broadcasts": 12,
+        "broadcasts_skipped": 0,
+        "collisions": 79759,
+        "deaf_misses": 1363,
+        "deliveries": 9038,
+        "end_time": 15.274227671085695,
+        "events_processed": 6709,
+        "fault_trace": [],
+        "frames_received": 9038,
+        "hello_updates": 0,
+        "hellos": 0,
+        "injected_drops": 0,
+        "latency": 0.08135832457323254,
+        "neighbor_expirations": 0,
+        "re": 1.0,
+        "srb": 0.2138047138047138,
+        "total_rx_airtime": 219.26912000000107,
+        "total_tx_airtime": 2.3006719999999987,
+        "transmissions": 946
+    },
     "nc-dhi": {
         "aborted_frames": 0,
         "backoffs_started": 1956,
@@ -482,6 +506,13 @@ SCENARIOS = {
     "adaptive-location": ScenarioConfig(
         scheme="adaptive-location", map_units=3, num_hosts=60,
         num_broadcasts=12, seed=7,
+    ),
+    # Fixed-threshold location on the dense map: the most heard copies
+    # per packet, and each decision reads the lattice's uncovered
+    # fraction directly against A, with no A(n) in between.
+    "location": ScenarioConfig(
+        scheme="location", map_units=1, num_hosts=100, num_broadcasts=12,
+        seed=7, scheme_params={"threshold": 0.0134},
     ),
     "nc-dhi": ScenarioConfig(
         scheme="neighbor-coverage", map_units=3, num_hosts=60,
