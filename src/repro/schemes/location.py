@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.geometry.coverage import DiskSampler
+from repro.geometry.coverage import uncovered_fraction
 from repro.net.packets import BroadcastPacket
 from repro.schemes.base import DeferredRebroadcastScheme, PendingBroadcast
 from repro.schemes.registry import ParamSpec, register_scheme
@@ -45,9 +45,6 @@ class LocationScheme(DeferredRebroadcastScheme):
     name = "location"
     needs_position = True
 
-    #: Shared deterministic lattice for the coverage integration.
-    _sampler = DiskSampler(256)
-
     def __init__(self, threshold: float = 0.0469) -> None:
         if not 0 <= threshold <= 1:
             raise ValueError(
@@ -65,7 +62,7 @@ class LocationScheme(DeferredRebroadcastScheme):
         return self.threshold
 
     def _recompute(self, assessment: CoverageAssessment) -> None:
-        assessment.ac = self._sampler.uncovered_fraction(
+        assessment.ac = uncovered_fraction(
             self.host.position(),
             self.host.radio_radius(),
             assessment.positions,
