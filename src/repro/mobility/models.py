@@ -54,7 +54,9 @@ class StaticMobility(MobilityModel):
     __slots__ = ("_position",)
 
     def __init__(self, position: Tuple[float, float]) -> None:
-        self._position = (float(position[0]), float(position[1]))
+        # ``+ 0.0`` turns -0.0 into 0.0, the zero a position store row
+        # yields: nothing reads the sign, but bit patterns then match.
+        self._position = (float(position[0]) + 0.0, float(position[1]) + 0.0)
 
     def position(self, time: float) -> Tuple[float, float]:
         return self._position
@@ -79,7 +81,8 @@ class _SegmentedMobility(MobilityModel):
         self._world = world
         self._seg_start_time = 0.0
         self._seg_end_time = 0.0
-        self._seg_origin = (float(start[0]), float(start[1]))
+        # ``+ 0.0`` turns -0.0 into 0.0, the zero the batched fold yields.
+        self._seg_origin = (float(start[0]) + 0.0, float(start[1]) + 0.0)
         self._velocity = (0.0, 0.0)
         self._started = False
 

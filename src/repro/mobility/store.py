@@ -25,12 +25,17 @@ The batched evaluation is float-for-float the same arithmetic as
   y; the start time is stored in both rows), so an epoch is one subtract,
   one multiply and one add over whole arrays, with no broadcasting, and
   the per-element arithmetic is unchanged;
-- the reflective fold is only applied to rows with an out-of-bounds
-  coordinate (to both coordinates, as the models do), with the *same*
-  :func:`repro.mobility.map._fold` scalar code the models use.  It stays a
-  scalar loop over those rows because a vectorized fold measured slower:
-  a bounced host stays out of bounds in raw coordinates until its segment
-  ends, but that is a handful of rows per epoch;
+- the reflective fold is four masked whole-array operations over the
+  coordinates *flagged* when their segment was synced: those whose raw
+  segment end ``(t1 - t0) * v + o``, in the epoch's own arithmetic, lies
+  off the map.  A segment starts on the map and raw motion is monotone
+  within it (subtract, multiply and add are each monotone under
+  rounding), so an unflagged coordinate is on the map at every time an
+  epoch reads it.  A flagged one is folded as
+  :func:`repro.mobility.map._fold` folds it (``np.remainder`` is Python's
+  ``%`` bit for bit, then the mirror), and folding an on-map coordinate
+  changes nothing, so this is the models' fold of both coordinates of an
+  off-map row.  Fixed rows are never flagged;
 - segment rolls are delegated to the models themselves (``_roll_to``), so
   every RNG draw happens on the same per-host stream in the same per-host
   order as querying the model directly.
@@ -56,7 +61,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.mobility.map import RectMap, _fold
+from repro.mobility.map import RectMap
 from repro.mobility.models import MobilityModel, StaticMobility, _SegmentedMobility
 
 __all__ = ["PositionBuffers", "PositionStore"]
@@ -109,8 +114,9 @@ class PositionStore:
 
     __slots__ = (
         "size", "_models", "_custom", "_world_w", "_world_h", "_upper",
-        "_origin", "_velocity", "_t0", "_t1", "_t1_min", "xy", "_x", "_y",
-        "_time", "epoch_hits", "batch_evals", "segment_rolls",
+        "_period", "_flags", "_flip", "_origin", "_velocity", "_t0", "_t1",
+        "_t1_min", "xy", "_x", "_y", "_time", "epoch_hits", "batch_evals",
+        "segment_rolls",
     )
 
     def __init__(
@@ -123,11 +129,18 @@ class PositionStore:
         self._models = list(models)
         self._world_w = world.width
         self._world_h = world.height
-        #: The map's width in row 0 and height in row 1, for the bounds
-        #: test (full size: broadcasting a column costs more at this n).
+        #: The map's width in row 0 and height in row 1, and the fold's
+        #: period, twice that (full size: broadcasting a column costs more
+        #: at this n).
         self._upper = np.empty((2, self.size))
         self._upper[0] = world.width
         self._upper[1] = world.height
+        self._period = 2.0 * self._upper
+        #: Coordinates whose current segment ends off the map: the only
+        #: ones an epoch folds.  Fixed rows are never flagged.
+        self._flags = np.zeros((2, self.size), dtype=bool)
+        #: Scratch for the fold's mirror mask.
+        self._flip = np.empty((2, self.size), dtype=bool)
         arrays = (buffers or PositionBuffers()).views(self.size)
         self._origin, self._velocity, self._t0, self._t1, xy = arrays
         #: All host positions at the current epoch: row 0 x, row 1 y.
@@ -174,13 +187,25 @@ class PositionStore:
     # -------------------------------------------------------------- sync
 
     def _sync_row(self, i: int, model: "_SegmentedMobility") -> None:
+        ox, oy = model._seg_origin
+        vx, vy = model._velocity
+        start = model._seg_start_time
+        end = model._seg_end_time
         origin = self._origin
         velocity = self._velocity
-        origin[0, i], origin[1, i] = model._seg_origin
-        velocity[0, i], velocity[1, i] = model._velocity
+        origin[0, i] = ox
+        origin[1, i] = oy
+        velocity[0, i] = vx
+        velocity[1, i] = vy
         t0 = self._t0
-        t0[0, i] = t0[1, i] = model._seg_start_time
-        self._t1[i] = model._seg_end_time
+        t0[0, i] = t0[1, i] = start
+        self._t1[i] = end
+        # Flag a coordinate whose raw segment end, computed as an epoch at
+        # ``end`` computes it, lies off the map.
+        dt = end - start
+        flags = self._flags
+        flags[0, i] = not 0.0 <= dt * vx + ox <= self._world_w
+        flags[1, i] = not 0.0 <= dt * vy + oy <= self._world_h
 
     # ----------------------------------------------------------- queries
 
@@ -223,23 +248,16 @@ class PositionStore:
         np.subtract(time, self._t0, out=xy)
         xy *= self._velocity
         xy += self._origin
-        # Reflective fold for the segments that have left the map since
-        # their last roll; in-bounds coordinates are untouched, as in
-        # ``RectMap.reflect``.  Fixed rows (t1 == +inf) never
-        # fold: velocity 0 keeps them at their (possibly off-map, in
-        # tests) fixed point, just like StaticMobility itself.
-        out = xy < 0.0
-        out |= xy > self._upper
-        if np.count_nonzero(out):
-            oob = out[0] | out[1]
-            oob &= np.isfinite(self._t1)
-            x = self._x
-            y = self._y
-            w = self._world_w
-            h = self._world_h
-            for i in oob.nonzero()[0].tolist():
-                x[i] = _fold(x.item(i), w)
-                y[i] = _fold(y.item(i), h)
+        # Reflective fold of the flagged coordinates, as ``_fold`` does it:
+        # the remainder by the period, then the mirror of what lies past
+        # the far border.
+        flags = self._flags
+        period = self._period
+        flip = self._flip
+        np.remainder(xy, period, out=xy, where=flags)
+        np.greater(xy, self._upper, out=flip)
+        flip &= flags
+        np.subtract(period, xy, out=xy, where=flip)
         if self._custom:
             x = self._x
             y = self._y

@@ -1,9 +1,12 @@
 """PositionStore: batched positions must replay the per-host models exactly."""
 
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mobility.map import RectMap
 from repro.mobility.models import (
@@ -11,6 +14,7 @@ from repro.mobility.models import (
     RandomDirectionMobility,
     RandomWaypointMobility,
     StaticMobility,
+    _SegmentedMobility,
 )
 from repro.mobility.store import PositionBuffers, PositionStore
 
@@ -180,3 +184,159 @@ def test_arrays_are_float64_views():
     xs, ys = store.arrays_at(0.5)
     assert xs.dtype == np.float64 and ys.dtype == np.float64
     assert xs.shape == ys.shape == (5,)
+
+
+# ------------------------------------------------ the fold, bit for bit
+
+
+def bits(value):
+    """A float's IEEE-754 bit pattern, which tells -0.0 from 0.0."""
+    return int(np.float64(value).view(np.uint64))
+
+
+def assert_bits_match_models(store, models, time):
+    xs, ys = store.arrays_at(time)
+    for i, model in enumerate(models):
+        x, y = model.position(time)
+        assert (bits(xs[i]), bits(ys[i])) == (bits(x), bits(y)), (
+            i, time, (float(xs[i]), float(ys[i])), (x, y)
+        )
+
+
+def off_map_points(world):
+    """Fixed points below the map, above it within one fold period and
+    above it beyond one: a fold of a fixed row would move each of them."""
+    w, h = world.width, world.height
+    return [(-w / 3.0, 1.5 * h), (1.5 * w, -2.5 * h), (2.5 * w, h + 1.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.floats(1.0, 2000.0),
+    height=st.floats(1.0, 2000.0),
+    max_speed_kmh=st.floats(1.0, 3000.0),
+    pause_time=st.floats(0.0, 30.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+    static=st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)),
+)
+def test_fold_bit_identical_to_models(
+    width, height, max_speed_kmh, pause_time, seed, static
+):
+    """Fast hosts cross a small map many times per segment; random
+    waypoint pauses; fixed rows off the map stay where they are."""
+    world = RectMap(width, height)
+
+    def fleet():
+        models = []
+        for i in range(6):
+            rng = random.Random(seed + i)
+            if i % 2:
+                models.append(RandomWaypointMobility(
+                    world, rng, max_speed_kmh, pause_time=pause_time
+                ))
+            else:
+                models.append(RandomDirectionMobility(world, rng, max_speed_kmh))
+        points = off_map_points(world) + [static]
+        return models + [StaticMobility(point) for point in points]
+
+    store_fleet, reference = fleet(), fleet()
+    store = PositionStore(store_fleet, world)
+    rng = random.Random(seed)
+    t = 0.0
+    for step in range(80):
+        if step % 2:
+            # The next segment end: the raw position there is the one
+            # each coordinate's flag was taken from.
+            t = min(m._seg_end_time for m in reference[:6])
+        else:
+            t += rng.expovariate(0.5)
+        assert_bits_match_models(store, reference, t)
+
+
+class ScriptedMobility(_SegmentedMobility):
+    """One-second segments, each aimed at a given raw end point."""
+
+    __slots__ = ("_ends",)
+
+    def __init__(self, world, start, ends):
+        super().__init__(world, start)
+        self._ends = list(ends)
+
+    def _next_segment(self, rng_time):
+        ex, ey = self._ends.pop(0)
+        ox, oy = self._seg_origin
+        return (1.0, ex - ox, ey - oy)
+
+
+def border_ends(size):
+    """Exactly on either border, or one ulp beyond it."""
+    return [0.0, -5e-324, size, math.nextafter(size, math.inf)]
+
+
+def border_start(size):
+    """A start from which every border end is hit exactly, or 0.0 is:
+    0.0 itself (also written -0.0), or a point in ``[size/2, size]``,
+    where the subtraction toward ``size`` is exact (Sterbenz)."""
+    return st.one_of(
+        st.sampled_from([0.0, -0.0, size]),
+        st.floats(size / 2.0, size),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    width=st.floats(0.5, 5000.0),
+    height=st.floats(0.5, 5000.0),
+    segments=st.integers(1, 6),
+)
+def test_fold_bit_identical_on_the_border(data, width, height, segments):
+    """Segments whose raw end lands exactly on a border, or one ulp
+    beyond it, read at their start, middle and end."""
+    world = RectMap(width, height)
+    starts = [
+        (data.draw(border_start(width)), data.draw(border_start(height)))
+        for _ in range(4)
+    ]
+    ends = st.tuples(
+        st.sampled_from(border_ends(width)), st.sampled_from(border_ends(height))
+    )
+    scripts = [
+        data.draw(st.lists(ends, min_size=segments, max_size=segments))
+        for _ in starts
+    ]
+
+    def fleet():
+        return [
+            ScriptedMobility(world, start, script)
+            for start, script in zip(starts, scripts)
+        ]
+
+    store_fleet, reference = fleet(), fleet()
+    store = PositionStore(store_fleet, world)
+    for step in range(2 * segments + 1):
+        t = step / 2.0
+        assert_bits_match_models(store, reference, t)
+        for model in reference:
+            # The segment in play really ends on a border or one ulp
+            # beyond, in the store's arithmetic.
+            dt = model._seg_end_time - model._seg_start_time
+            ox, oy = model._seg_origin
+            vx, vy = model._velocity
+            assert dt * vx + ox in border_ends(width)
+            assert dt * vy + oy in border_ends(height)
+
+
+@pytest.mark.parametrize("size", [0.5, 1.0, 500.0, 4500.0, 5500.0, 1e-300])
+def test_numpy_remainder_is_python_modulo(size):
+    """The batched fold's ``np.remainder`` must be Python's ``%`` bit for
+    bit, on the cases where a remainder routine may round or sign
+    differently."""
+    period = 2.0 * size
+    values = [0.0, -0.0, 5e-324, -5e-324, -1e-300, -1e-17, -size * 1e-16]
+    values += [k * period for k in range(-3, 4)]
+    for edge in (0.0, size, period, -size, -period):
+        values += [math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+    got = np.remainder(np.array(values), np.full(len(values), period))
+    want = [value % period for value in values]
+    assert [bits(v) for v in got] == [bits(v) for v in want]
