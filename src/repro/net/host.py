@@ -56,6 +56,8 @@ class HelloConfig:
             raise ValueError(
                 f"need 0 < hi_min <= hi_max, got {self.hi_min}..{self.hi_max}"
             )
+        if self.dynamic and not self.nv_max > 0:
+            raise ValueError(f"nv_max must be > 0, got {self.nv_max}")
 
     def resolved_enabled(self, scheme: RebroadcastScheme) -> bool:
         if self.enabled is not None:

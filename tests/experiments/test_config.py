@@ -74,3 +74,5 @@ def test_hello_config_validation():
         HelloConfig(interval=0.0)
     with pytest.raises(ValueError):
         HelloConfig(dynamic=True, hi_min=5.0, hi_max=1.0)
+    with pytest.raises(ValueError, match="nv_max"):
+        HelloConfig(dynamic=True, nv_max=0.0)
