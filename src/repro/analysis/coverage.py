@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.geometry.coverage import DiskSampler
 

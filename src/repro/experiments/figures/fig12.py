@@ -10,7 +10,7 @@ Paper DHI parameters: ``nv_max = 0.02``, ``hi_min = 1 s``, ``hi_max = 10 s``.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures.common import FigureResult, run_series_points

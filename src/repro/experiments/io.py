@@ -17,7 +17,7 @@ import csv
 import io as _io
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, Union
 
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures.common import FigureResult, SeriesPoint
