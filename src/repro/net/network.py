@@ -149,15 +149,6 @@ class Network:
         """Hosts whose radios are currently up."""
         return {h.host_id for h in self.hosts if h.alive}
 
-    def alive_positions(self) -> Dict[int, Tuple[float, float]]:
-        """Positions of alive hosts only (crashed radios cannot relay)."""
-        xs, ys = self.position_store.arrays_at(self.scheduler._now)
-        return {
-            h.host_id: (float(xs[h.host_id]), float(ys[h.host_id]))
-            for h in self.hosts
-            if h.alive
-        }
-
     def reachable_from(self, source_id: int) -> Set[int]:
         """Alive hosts currently reachable from ``source_id`` via alive
         relays (source excluded).

@@ -146,5 +146,5 @@ def test_mobility_survives_the_crash():
     network.crash_host(1)
     scheduler.run(until=1.0)
     assert network.hosts[1].position() == before
-    assert 1 not in network.alive_positions()
+    assert 1 not in network.alive_ids()
     assert 1 in network.positions()

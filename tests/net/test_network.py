@@ -135,7 +135,11 @@ def alive_component(network, source_id):
     """The alive hosts reachable from ``source_id`` through alive relays
     (source excluded), from networkx on a unit-disk graph built pair by
     pair."""
-    positions = network.alive_positions()
+    alive = network.alive_ids()
+    positions = {
+        host_id: point for host_id, point in network.positions().items()
+        if host_id in alive
+    }
     radius_sq = network.params.radio_radius ** 2
     graph = nx.Graph()
     graph.add_nodes_from(positions)
