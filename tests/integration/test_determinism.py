@@ -11,7 +11,8 @@ rejected, however small the numeric difference looks.
 Scenarios cover every scheme family the paper sweeps: blind flooding on
 the dense single-unit map, the counter and location adaptive schemes,
 the fixed-threshold location scheme on the dense map,
-neighbor-coverage with dynamic HELLO intervals, and flooding under a
+neighbor-coverage with dynamic HELLO intervals (also under crash and
+churn, so two-hop tables are wiped and relearned), and flooding under a
 fault plan (crash + churn + loss) including the executed fault trace.
 Adaptive counter also runs with a capture model under churn and bursty
 loss, and two hand-built networks pin a static topology and a mobility
@@ -488,6 +489,405 @@ GOLDEN_JSON = r"""
         "total_rx_airtime": 25.381471999999953,
         "total_tx_airtime": 1.7997119999999993,
         "transmissions": 1479
+    },
+    "nc-dhi-churn": {
+        "aborted_frames": 0,
+        "backoffs_started": 2548,
+        "broadcasts": 12,
+        "broadcasts_skipped": 0,
+        "collisions": 2830,
+        "deaf_misses": 34,
+        "deliveries": 23973,
+        "end_time": 35.00467235320274,
+        "events_processed": 11709,
+        "fault_trace": [
+            [
+                0.49508422136494135,
+                "crash",
+                38
+            ],
+            [
+                0.8378684152889581,
+                "crash",
+                59
+            ],
+            [
+                1.7131828968230125,
+                "crash",
+                49
+            ],
+            [
+                2.43178814212366,
+                "crash",
+                36
+            ],
+            [
+                4.129706617312361,
+                "crash",
+                17
+            ],
+            [
+                4.495084221364941,
+                "recover",
+                38
+            ],
+            [
+                4.629901186862023,
+                "crash",
+                45
+            ],
+            [
+                4.837868415288958,
+                "recover",
+                59
+            ],
+            [
+                5.188671066193747,
+                "crash",
+                7
+            ],
+            [
+                5.713182896823012,
+                "recover",
+                49
+            ],
+            [
+                6.163152235257578,
+                "crash",
+                40
+            ],
+            [
+                6.43178814212366,
+                "recover",
+                36
+            ],
+            [
+                6.909963827656773,
+                "crash",
+                35
+            ],
+            [
+                8.129706617312362,
+                "recover",
+                17
+            ],
+            [
+                8.629901186862023,
+                "recover",
+                45
+            ],
+            [
+                9.0,
+                "crash",
+                12
+            ],
+            [
+                9.188671066193747,
+                "recover",
+                7
+            ],
+            [
+                9.328275051707847,
+                "crash",
+                58
+            ],
+            [
+                10.163152235257577,
+                "recover",
+                40
+            ],
+            [
+                10.66416415777567,
+                "crash",
+                25
+            ],
+            [
+                10.909963827656773,
+                "recover",
+                35
+            ],
+            [
+                11.293428500838203,
+                "crash",
+                26
+            ],
+            [
+                12.534677328958576,
+                "crash",
+                46
+            ],
+            [
+                13.105539660747507,
+                "crash",
+                7
+            ],
+            [
+                13.285571866398163,
+                "crash",
+                30
+            ],
+            [
+                13.328275051707847,
+                "recover",
+                58
+            ],
+            [
+                13.601459060842396,
+                "crash",
+                51
+            ],
+            [
+                14.153783627164696,
+                "crash",
+                17
+            ],
+            [
+                14.66416415777567,
+                "recover",
+                25
+            ],
+            [
+                15.293428500838203,
+                "recover",
+                26
+            ],
+            [
+                16.0,
+                "recover",
+                12
+            ],
+            [
+                16.534677328958576,
+                "recover",
+                46
+            ],
+            [
+                16.572436343849642,
+                "crash",
+                26
+            ],
+            [
+                17.045539804062884,
+                "crash",
+                59
+            ],
+            [
+                17.105539660747507,
+                "recover",
+                7
+            ],
+            [
+                17.285571866398165,
+                "recover",
+                30
+            ],
+            [
+                17.601459060842394,
+                "recover",
+                51
+            ],
+            [
+                17.75410681276004,
+                "crash",
+                11
+            ],
+            [
+                18.153783627164696,
+                "recover",
+                17
+            ],
+            [
+                19.73042424099271,
+                "crash",
+                45
+            ],
+            [
+                19.968695127814023,
+                "crash",
+                3
+            ],
+            [
+                20.09530227233143,
+                "crash",
+                24
+            ],
+            [
+                20.572436343849642,
+                "recover",
+                26
+            ],
+            [
+                20.743262719723106,
+                "crash",
+                22
+            ],
+            [
+                20.76345952390679,
+                "crash",
+                35
+            ],
+            [
+                20.91925607573444,
+                "crash",
+                30
+            ],
+            [
+                20.95097390428951,
+                "crash",
+                28
+            ],
+            [
+                21.045539804062884,
+                "recover",
+                59
+            ],
+            [
+                21.65290837015939,
+                "crash",
+                52
+            ],
+            [
+                21.75410681276004,
+                "recover",
+                11
+            ],
+            [
+                23.488600796786386,
+                "crash",
+                48
+            ],
+            [
+                23.73042424099271,
+                "recover",
+                45
+            ],
+            [
+                23.968695127814023,
+                "recover",
+                3
+            ],
+            [
+                24.09530227233143,
+                "recover",
+                24
+            ],
+            [
+                24.743262719723106,
+                "recover",
+                22
+            ],
+            [
+                24.76345952390679,
+                "recover",
+                35
+            ],
+            [
+                24.91925607573444,
+                "recover",
+                30
+            ],
+            [
+                24.95097390428951,
+                "recover",
+                28
+            ],
+            [
+                24.959826467167122,
+                "crash",
+                38
+            ],
+            [
+                25.40540377872296,
+                "crash",
+                22
+            ],
+            [
+                25.60774704653353,
+                "crash",
+                42
+            ],
+            [
+                25.65290837015939,
+                "recover",
+                52
+            ],
+            [
+                27.488600796786386,
+                "recover",
+                48
+            ],
+            [
+                28.959826467167122,
+                "recover",
+                38
+            ],
+            [
+                29.40540377872296,
+                "recover",
+                22
+            ],
+            [
+                29.60774704653353,
+                "recover",
+                42
+            ],
+            [
+                29.935808820372873,
+                "crash",
+                55
+            ],
+            [
+                30.536958530279133,
+                "crash",
+                57
+            ],
+            [
+                30.837994242938905,
+                "crash",
+                4
+            ],
+            [
+                31.117190376720693,
+                "crash",
+                28
+            ],
+            [
+                33.61970032599446,
+                "crash",
+                2
+            ],
+            [
+                33.93580882037287,
+                "recover",
+                55
+            ],
+            [
+                34.536958530279136,
+                "recover",
+                57
+            ],
+            [
+                34.72528294435315,
+                "crash",
+                30
+            ],
+            [
+                34.837994242938905,
+                "recover",
+                4
+            ]
+        ],
+        "frames_received": 23973,
+        "hello_updates": 16118,
+        "hellos": 1737,
+        "injected_drops": 0,
+        "latency": 0.031137796289833375,
+        "neighbor_expirations": 357,
+        "re": 0.9922677404295052,
+        "srb": 0.40452743225857946,
+        "total_rx_airtime": 28.921343999999962,
+        "total_tx_airtime": 2.2593919999999987,
+        "transmissions": 2128
     }
 }
 """
@@ -518,6 +918,17 @@ SCENARIOS = {
         scheme="neighbor-coverage", map_units=3, num_hosts=60,
         num_broadcasts=12, seed=7,
         hello=HelloConfig(dynamic=True),
+    ),
+    # NC-DHI under churn and one fixed crash: crashed hosts come back with
+    # cold one- and two-hop tables while their neighbors still list them,
+    # and the DHI intervals they announce restart from an empty table.
+    "nc-dhi-churn": ScenarioConfig(
+        scheme="neighbor-coverage", map_units=3, num_hosts=60,
+        num_broadcasts=12, seed=7,
+        hello=HelloConfig(dynamic=True),
+        faults=FaultPlan.parse(
+            "crash:host=12,at=9,recover=16;churn:rate=0.02,downtime=4"
+        ),
     ),
     "flooding-faults": ScenarioConfig(
         scheme="flooding", map_units=3, num_hosts=40, num_broadcasts=12,
