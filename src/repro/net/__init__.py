@@ -5,9 +5,10 @@
   and HELLO packets (optionally carrying the sender's neighbor list for the
   neighbor-coverage scheme and its announced hello interval for DHI).
 - :mod:`repro.net.dupcache` -- the duplicate-broadcast detector.
-- :mod:`repro.net.neighbors` -- per-host neighbor tables built from HELLOs,
-  two-hop knowledge, neighborhood-variation tracking and the paper's
-  dynamic hello interval formula.
+- :mod:`repro.net.neighbors` -- neighbor tables built from HELLOs (every
+  host's in one network-wide store), two-hop knowledge,
+  neighborhood-variation tracking and the paper's dynamic hello interval
+  formula.
 - :mod:`repro.net.host` -- the mobile host tying mobility, MAC, scheme and
   hello protocol together.
 - :mod:`repro.net.network` -- the world: builds all hosts over one channel
@@ -16,7 +17,11 @@
 
 from repro.net.dupcache import DuplicateCache
 from repro.net.host import HelloConfig, MobileHost
-from repro.net.neighbors import NeighborTable, dynamic_hello_interval
+from repro.net.neighbors import (
+    NeighborStore,
+    NeighborTable,
+    dynamic_hello_interval,
+)
 from repro.net.network import Network
 from repro.net.packets import BroadcastPacket, HelloPacket, PacketKey
 
@@ -25,6 +30,7 @@ __all__ = [
     "HelloPacket",
     "PacketKey",
     "DuplicateCache",
+    "NeighborStore",
     "NeighborTable",
     "dynamic_hello_interval",
     "MobileHost",

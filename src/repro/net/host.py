@@ -95,6 +95,7 @@ class MobileHost:
         mac_rng: random.Random,
         scheme_rng: random.Random,
         hello_rng: random.Random,
+        neighbor_table: NeighborTable,
         hello_config: Optional[HelloConfig] = None,
         oracle_neighbors: bool = False,
         trace: Optional[Any] = None,
@@ -123,9 +124,9 @@ class MobileHost:
         #: routing agent); unhandled unicast payloads raise.
         self.unicast_handler = None
         self.dup_cache = DuplicateCache()
-        self.neighbor_table = NeighborTable(
-            default_interval=self.hello_config.interval
-        )
+        #: This host's handle on the network's
+        #: :class:`~repro.net.neighbors.NeighborStore`.
+        self.neighbor_table = neighbor_table
         self.mac = CsmaCaMac(
             host_id, scheduler, channel, params, mac_rng, self, trace=trace
         )
@@ -172,9 +173,7 @@ class MobileHost:
             self._hello_event.cancel()
             self._hello_event = None
         self._hello_started = False
-        self.neighbor_table = NeighborTable(
-            default_interval=self.hello_config.interval
-        )
+        self.neighbor_table.reset()
         self.dup_cache.clear()
         self.scheme.reset()
 

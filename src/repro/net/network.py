@@ -13,7 +13,7 @@ from repro.mobility.map import RectMap
 from repro.mobility.models import MobilityModel, make_mobility
 from repro.mobility.store import PositionBuffers, PositionStore
 from repro.net.host import HelloConfig, MobileHost
-from repro.net.neighbors import absorb_hello
+from repro.net.neighbors import NeighborStore
 from repro.net.packets import BroadcastPacket, HelloPacket
 from repro.phy.capture import CaptureModel
 from repro.phy.channel import Channel
@@ -61,6 +61,7 @@ class Network:
         self.metrics = metrics
         self.trace = trace
         self.hosts: List[MobileHost] = []
+        hello_config = hello_config or HelloConfig()
 
         # All mobility models are built before the channel so they can be
         # mirrored into the PositionStore.  Streams are created in host
@@ -90,6 +91,10 @@ class Network:
             capture=capture, trace=trace,
         )
         self._seq = 0
+        #: Every host's neighbor table (``neighbor_store.tables[host_id]``).
+        self.neighbor_store = NeighborStore(
+            num_hosts, default_interval=hello_config.interval
+        )
 
         for host_id in range(num_hosts):
             host = MobileHost(
@@ -104,35 +109,28 @@ class Network:
                 mac_rng=streams.stream(f"mac/{host_id}"),
                 scheme_rng=streams.stream(f"scheme/{host_id}"),
                 hello_rng=streams.stream(f"hello/{host_id}"),
+                neighbor_table=self.neighbor_store.tables[host_id],
                 hello_config=hello_config,
                 oracle_neighbors=oracle_neighbors,
                 trace=trace,
             )
             self.hosts.append(host)
-        self._mac_stats = [host.mac.stats for host in self.hosts]
         self.channel.bulk_delivery = self._absorb_hellos
 
-    def _absorb_hellos(self, frame: Any, receiver_ids: List[int]) -> bool:
-        """The channel's bulk-delivery hook: every clean receiver of a
-        broadcast HELLO takes it in one call.
+    def _absorb_hellos(self, frame: Any, receivers: np.ndarray) -> bool:
+        """The channel's bulk-delivery hook: a broadcast HELLO enters all
+        its clean receivers' neighbor tables at once.
 
-        It does what each receiver's MAC -> host -> neighbor-table upcalls
-        would: one ``frames_received`` bump per MAC and one table update
-        per host.  Any other frame is declined, for the upcalls.
+        It stands in for each receiver's host -> neighbor-table upcall
+        (the channel counts the MAC ``frames_received`` bumps).  Any other
+        frame is declined, for the upcalls.
         """
         if not isinstance(frame, DataFrame) or frame.dst is not None:
             return False
         hello = frame.payload
         if not isinstance(hello, HelloPacket):
             return False
-        mac_stats = self._mac_stats
-        for host_id in receiver_ids:
-            mac_stats[host_id].frames_received += 1
-        hosts = self.hosts
-        absorb_hello(
-            [hosts[host_id].neighbor_table for host_id in receiver_ids],
-            hello, self.scheduler._now,
-        )
+        self.neighbor_store.absorb(hello, receivers, self.scheduler._now)
         return True
 
     # ------------------------------------------------------------- queries

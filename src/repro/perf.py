@@ -8,7 +8,8 @@ Two layers, matching how the paper's experiments are actually debugged:
   channel's :class:`~repro.phy.channel.ChannelStats`, each MAC's
   :class:`~repro.mac.csma.MacStats`, the
   :class:`~repro.mobility.store.PositionStore`'s epoch-cache tallies, each
-  :class:`~repro.net.neighbors.NeighborTable`'s update/expiry tallies);
+  :class:`~repro.net.neighbors.NeighborTable`'s update/expiry tallies in
+  the network's :class:`~repro.net.neighbors.NeighborStore`);
   :meth:`KernelPerf.collect` merely reads them out once at the
   end of a run, so the simulation itself pays nothing beyond the integer
   bumps it was doing anyway.
@@ -37,11 +38,13 @@ all-host evaluation, whether one host or all were asked for, so
 the total in-range ids they produced.
 ``hello_updates``/``neighbor_expirations`` count HELLO-driven neighbor
 table writes (one per receiving table, whether the HELLO was absorbed in
-bulk or through one host's upcall) and the entries purges dropped.
-``frames_received`` counts every frame a MAC took in, HELLOs absorbed in
-bulk included.  Channel and MAC counters mirror the fields of the same
-name on ``ChannelStats`` / ``MacStats`` (MAC counters are summed across
-hosts).
+bulk or through one host's upcall) and the entries purges dropped, summed
+over the tables as they stand when the run ends: a crash wipes the
+crashed host's table and with it that host's two counts so far, so they
+restart from zero at each crash.  ``frames_received`` counts every frame
+a MAC took in, HELLOs absorbed in bulk included; a crash keeps it.
+Channel and MAC counters mirror the fields of the same name on
+``ChannelStats`` / ``MacStats`` (MAC counters are summed across hosts).
 """
 
 from __future__ import annotations

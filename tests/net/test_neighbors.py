@@ -1,9 +1,15 @@
 """Neighbor tables, two-hop knowledge, variation and the DHI formula."""
 
+import numpy as np
 import pytest
 
-from repro.net.neighbors import NeighborTable, dynamic_hello_interval
+from repro.net.neighbors import NeighborStore, dynamic_hello_interval
 from repro.net.packets import HelloPacket
+
+
+def make_table(default_interval=1.0, **kwargs):
+    """Host 0's table in a store of 100 hosts."""
+    return NeighborStore(100, default_interval, **kwargs).tables[0]
 
 
 def hello(sender, neighbors=None, interval=None):
@@ -16,7 +22,7 @@ def hello(sender, neighbors=None, interval=None):
 
 class TestNeighborTable:
     def test_hello_enlists_neighbor(self):
-        table = NeighborTable(default_interval=1.0)
+        table = make_table()
         table.update_from_hello(hello(5), now=10.0)
         assert table.neighbor_ids() == {5}
         assert table.knows(5)
@@ -25,27 +31,27 @@ class TestNeighborTable:
     def test_two_interval_timeout(self):
         """'If no HELLO has been received ... for the past two hello
         intervals, host x deletes h'."""
-        table = NeighborTable(default_interval=1.0)
+        table = make_table()
         table.update_from_hello(hello(5), now=10.0)
         assert table.neighbor_ids(now=11.9) == {5}
         assert table.neighbor_ids(now=12.1) == set()
 
     def test_refresh_extends_lifetime(self):
-        table = NeighborTable(default_interval=1.0)
+        table = make_table()
         table.update_from_hello(hello(5), now=10.0)
         table.update_from_hello(hello(5), now=11.5)
         assert table.neighbor_ids(now=13.0) == {5}
 
     def test_announced_interval_governs_timeout(self):
         """DHI: the timeout uses the *sender's* announced interval."""
-        table = NeighborTable(default_interval=1.0)
+        table = make_table()
         table.update_from_hello(hello(5, interval=10.0), now=0.0)
         assert table.neighbor_ids(now=15.0) == {5}  # 15 < 2 * 10
         assert table.neighbor_ids(now=21.0) == set()
 
     def test_shorter_announced_interval_expires_earlier(self):
         """A refresh can bring the timeout forward; purge must honour it."""
-        table = NeighborTable(default_interval=1.0)
+        table = make_table()
         table.update_from_hello(hello(5, interval=10.0), now=0.0)
         table.update_from_hello(hello(5, interval=1.0), now=1.0)
         assert table.neighbor_ids(now=3.0) == {5}  # 3 = 1 + 2 * 1
@@ -53,25 +59,25 @@ class TestNeighborTable:
         assert table.expirations == 1
 
     def test_two_hop_sets_stored(self):
-        table = NeighborTable(default_interval=1.0)
+        table = make_table()
         table.update_from_hello(hello(5, neighbors={7, 8}), now=0.0)
         assert table.two_hop_neighbors(5) == frozenset({7, 8})
         assert table.two_hop_neighbors(99) == frozenset()
 
     def test_two_hop_set_updates(self):
-        table = NeighborTable(default_interval=1.0)
+        table = make_table()
         table.update_from_hello(hello(5, neighbors={7}), now=0.0)
         table.update_from_hello(hello(5, neighbors={8, 9}), now=0.5)
         assert table.two_hop_neighbors(5) == frozenset({8, 9})
 
     def test_hello_without_neighbors_preserves_known_set(self):
-        table = NeighborTable(default_interval=1.0)
+        table = make_table()
         table.update_from_hello(hello(5, neighbors={7}), now=0.0)
         table.update_from_hello(hello(5), now=0.5)
         assert table.two_hop_neighbors(5) == frozenset({7})
 
     def test_purge_returns_dropped(self):
-        table = NeighborTable(default_interval=1.0)
+        table = make_table()
         table.update_from_hello(hello(5), now=0.0)
         table.update_from_hello(hello(6), now=2.0)
         dropped = table.purge(now=3.0)
@@ -79,7 +85,7 @@ class TestNeighborTable:
         assert table.neighbor_ids() == {6}
 
     def test_variation_counts_joins_and_leaves(self):
-        table = NeighborTable(default_interval=1.0, variation_window=10.0)
+        table = make_table(variation_window=10.0)
         table.update_from_hello(hello(5), now=100.0)  # join
         table.update_from_hello(hello(6), now=100.5)  # join
         table.update_from_hello(hello(6), now=102.0)  # refresh, not a change
@@ -89,7 +95,7 @@ class TestNeighborTable:
         assert nv == pytest.approx(0.3)
 
     def test_variation_zero_for_stable_neighborhood(self):
-        table = NeighborTable(default_interval=1.0, variation_window=10.0)
+        table = make_table(variation_window=10.0)
         table.update_from_hello(hello(5), now=0.0)
         for t in range(1, 30):
             table.update_from_hello(hello(5), now=float(t))
@@ -97,11 +103,11 @@ class TestNeighborTable:
         assert table.variation(now=29.0) == 0.0
 
     def test_variation_defined_for_isolated_host(self):
-        table = NeighborTable(default_interval=1.0)
+        table = make_table()
         assert table.variation(now=50.0) == 0.0
 
     def test_old_changes_pruned_from_window(self):
-        table = NeighborTable(default_interval=1.0, variation_window=10.0)
+        table = make_table(variation_window=10.0)
         table.update_from_hello(hello(5), now=0.0)
         table.update_from_hello(hello(5), now=5.0)
         table.update_from_hello(hello(5), now=11.0)
@@ -109,9 +115,51 @@ class TestNeighborTable:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            NeighborTable(default_interval=0.0)
+            NeighborStore(1, default_interval=0.0)
         with pytest.raises(ValueError):
-            NeighborTable(default_interval=1.0, timeout_multiplier=0.0)
+            NeighborStore(1, default_interval=1.0, timeout_multiplier=0.0)
+
+    def test_reset_forgets_everything(self):
+        """A crash wipes the table, its history and its counters; other
+        tables keep their entries."""
+        store = NeighborStore(10, default_interval=1.0)
+        table, other = store.tables[0], store.tables[1]
+        store.absorb(hello(5, neighbors={7}), np.array([0, 1]), now=0.0)
+        table.purge(now=5.0)
+        store.absorb(hello(6, neighbors={8}), np.array([1, 0]), now=5.0)
+        table.reset()
+        assert table.neighbor_ids() == set()
+        assert table.two_hop_neighbors(6) == frozenset()
+        assert table.variation(now=5.0) == 0.0
+        assert (table.hello_updates, table.expirations) == (0, 0)
+        assert other.neighbor_ids() == {5, 6}
+        assert other.two_hop_neighbors(6) == frozenset({8})
+        # The next HELLO from 6 is a join again.
+        store.absorb(hello(6), np.array([0]), now=5.5)
+        assert table.neighbor_ids() == {6}
+        assert table.two_hop_neighbors(6) == frozenset()
+        assert table.variation(now=5.5) == pytest.approx(0.1)
+        assert table.hello_updates == 1
+
+    def test_bulk_absorb_reaches_every_receiver(self):
+        store = NeighborStore(10, default_interval=1.0)
+        store.absorb(hello(5, neighbors={7}, interval=2.0), np.array([3, 0, 8]), now=1.0)
+        for host_id in (0, 3, 8):
+            table = store.tables[host_id]
+            assert table.neighbor_ids(now=5.0) == {5}
+            assert table.two_hop_neighbors(5) == frozenset({7})
+            assert table.hello_updates == 1
+        assert store.tables[1].neighbor_ids(now=1.0) == set()
+        assert store.tables[3].neighbor_ids(now=5.1) == set()
+
+    def test_expired_entry_refreshed_before_purge_is_not_a_join(self):
+        """Purge is lazy: an entry past its expiry stays until a query
+        purges it, and a HELLO that refreshes it first is no change."""
+        table = make_table()
+        table.update_from_hello(hello(5), now=0.0)
+        table.update_from_hello(hello(5), now=3.0)  # expired at 2.0
+        assert table.expirations == 0
+        assert table.variation(now=3.0) == pytest.approx(0.1)  # one join
 
 
 class TestDynamicHelloInterval:

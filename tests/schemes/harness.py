@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.net.neighbors import NeighborTable
+from repro.net.neighbors import NeighborStore
 from repro.net.packets import BroadcastPacket, HelloPacket
 from repro.sim.engine import Scheduler
 
@@ -48,6 +48,10 @@ class FakeMacHandle:
             self.on_transmit_start()
 
 
+#: Ids a harness host and its neighbors may take: ``0 .. HARNESS_HOSTS - 1``.
+HARNESS_HOSTS = 128
+
+
 class FakeHost:
     """Implements the SchemeHost duck interface with full observability."""
 
@@ -60,7 +64,10 @@ class FakeHost:
         self._position = position
         self._radius = radius
         self._neighbor_count = neighbors
-        self.neighbor_table = NeighborTable(default_interval=1.0)
+        # Host ids index the store, so it spans every id a test uses.
+        self.neighbor_table = NeighborStore(
+            HARNESS_HOSTS, default_interval=1.0
+        ).tables[host_id]
         self.submitted: List[FakeMacHandle] = []
         self.transmitted: List[BroadcastPacket] = []
         self.inhibited: List = []
