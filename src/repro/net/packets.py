@@ -15,7 +15,7 @@ the interval "should be appended to its HELLO packets").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
 __all__ = ["PacketKey", "BroadcastPacket", "HelloPacket"]
@@ -50,9 +50,15 @@ class BroadcastPacket:
     def relayed_by(
         self, host_id: int, position: Optional[Tuple[float, float]]
     ) -> "BroadcastPacket":
-        """The copy of this packet as rebroadcast by ``host_id``."""
-        return replace(
-            self, tx_id=host_id, tx_position=position, hops=self.hops + 1
+        """The copy of this packet as rebroadcast by ``host_id``.
+
+        Built by the constructor, positionally: about half the cost of
+        ``dataclasses.replace``, once per rebroadcast.  A subclass with
+        fields of its own overrides this.
+        """
+        return BroadcastPacket(
+            self.source_id, self.seq, self.origin_time, host_id, position,
+            self.hops + 1, self.size_bytes,
         )
 
 

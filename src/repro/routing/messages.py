@@ -11,7 +11,7 @@ harness's data-broadcast keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Optional, Tuple
 
 from repro.net.packets import BroadcastPacket
 
@@ -31,6 +31,15 @@ class RouteRequest(BroadcastPacket):
     def __post_init__(self) -> None:
         if self.target_id == self.source_id:
             raise ValueError("route request targeting its own originator")
+
+    def relayed_by(
+        self, host_id: int, position: Optional[Tuple[float, float]]
+    ) -> "RouteRequest":
+        """The copy of this request as rebroadcast by ``host_id``."""
+        return RouteRequest(
+            self.source_id, self.seq, self.origin_time, host_id, position,
+            self.hops + 1, self.size_bytes, self.target_id,
+        )
 
 
 @dataclass(frozen=True)

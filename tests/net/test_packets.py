@@ -1,5 +1,7 @@
 """Packet types and relaying."""
 
+from dataclasses import replace
+
 from repro.net.packets import BroadcastPacket, HelloPacket
 
 
@@ -31,6 +33,17 @@ def test_relayed_copy_updates_transmitter():
     assert relayed.tx_id == 9
     assert relayed.tx_position == (300.0, 400.0)
     assert relayed.hops == 1
+
+
+def test_relayed_copy_equals_replace():
+    """The positional constructor call sets every field as
+    ``dataclasses.replace`` would."""
+    packet = make_packet(hops=3, size_bytes=512)
+    relayed = packet.relayed_by(9, (300.0, 400.0))
+    assert type(relayed) is BroadcastPacket
+    assert relayed == replace(
+        packet, tx_id=9, tx_position=(300.0, 400.0), hops=4
+    )
 
 
 def test_relaying_twice_increments_hops():

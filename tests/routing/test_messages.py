@@ -1,5 +1,7 @@
 """Routing message types."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.net.packets import BroadcastPacket
@@ -27,6 +29,13 @@ def test_rreq_relaying_preserves_target():
     assert relayed.target_id == 9
     assert relayed.tx_id == 4
     assert relayed.hops == 1
+
+
+def test_rreq_relayed_copy_equals_replace():
+    rreq = make_rreq(hops=2)
+    assert rreq.relayed_by(4, (10.0, 20.0)) == replace(
+        rreq, tx_id=4, tx_position=(10.0, 20.0), hops=3
+    )
 
 
 def test_rreq_is_small_control_packet():
