@@ -250,8 +250,9 @@ class DeferredRebroadcastScheme(RebroadcastScheme):
             self.host.record_inhibit(packet.key)
             return
         self._pending[packet.key] = state
+        # ``_randbelow(k + 1)`` is the draw ``randint(0, k)`` reduces to.
         jitter = (
-            self.host.scheme_rng.randint(0, self.jitter_slots)
+            self.host.scheme_rng._randbelow(self.jitter_slots + 1)
             * self.host.slot_time
             if self.jitter_slots > 0
             else 0.0

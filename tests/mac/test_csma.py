@@ -17,14 +17,14 @@ SLOT = PARAMS.slot_time
 
 
 class FixedRandom:
-    """randint() returns preset values (then repeats the last one)."""
+    """_randbelow() returns preset values (then repeats the last one)."""
 
     def __init__(self, *values):
         self._values = list(values)
 
-    def randint(self, a, b):
+    def _randbelow(self, n):
         value = self._values.pop(0) if len(self._values) > 1 else self._values[0]
-        assert a <= value <= b, f"fixed value {value} outside [{a}, {b}]"
+        assert 0 <= value < n, f"fixed value {value} outside [0, {n})"
         return value
 
 
@@ -226,3 +226,16 @@ def test_is_transmitting_flag():
     scheduler.run()
     assert seen == [True]
     assert not macs[0].is_transmitting
+
+
+@pytest.mark.parametrize("k", [31, 63, 1023])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_randbelow_draws_what_randint_draws(k, seed):
+    """The backoff and S2 jitter draws call ``_randbelow(k + 1)``, the
+    draw ``randint(0, k)`` reduces to: both forms give the same values and
+    leave the stream in the same state."""
+    by_randint = random.Random(seed)
+    by_randbelow = random.Random(seed)
+    for _ in range(500):
+        assert by_randbelow._randbelow(k + 1) == by_randint.randint(0, k)
+    assert by_randbelow.getstate() == by_randint.getstate()

@@ -10,14 +10,14 @@ from repro.sim.engine import Scheduler
 
 
 class FakeRng:
-    """randint() / random() return fixed values (deterministic draws)."""
+    """_randbelow() / random() return fixed values (deterministic draws)."""
 
     def __init__(self, value: int = 0, random_value: float = 0.0):
         self.value = value
         self.random_value = random_value
 
-    def randint(self, a, b):
-        assert a <= self.value <= b
+    def _randbelow(self, n):
+        assert 0 <= self.value < n
         return self.value
 
     def random(self):
