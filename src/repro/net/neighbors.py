@@ -99,7 +99,8 @@ class NeighborStore:
         self._timeout_multiplier = timeout_multiplier
         self._variation_window = variation_window
         self._expiry = np.full((size, size), _INF)
-        self._two_hop = np.full((size, size), None, dtype=object)
+        # An empty object array holds None throughout.
+        self._two_hop = np.empty((size, size), dtype=object)
         # Per-sender row views: a frame writes one row.  A memoryview of
         # a row reads and writes one float faster than numpy indexing.
         self._expiry_rows = list(self._expiry)
@@ -113,8 +114,14 @@ class NeighborStore:
         #: without the frames still waiting in ``_update_log``.
         self._updates = [0] * size
         self._update_log: List[np.ndarray] = []
-        #: Host ``x``'s table is ``tables[x]``.
-        self.tables = [NeighborTable(self, host_id) for host_id in range(size)]
+        #: Host ``x``'s table is ``tables[x]``.  Iterating a transposed
+        #: array makes its column views in C, faster than indexing.
+        self.tables = [
+            NeighborTable(self, host_id, column, two_hop)
+            for host_id, column, two_hop in zip(
+                range(size), self._expiry.T, self._two_hop.T
+            )
+        ]
 
     def absorb(self, hello: HelloPacket, receivers: np.ndarray, now: float) -> None:
         """Enter one HELLO, received at ``now``, into the tables of
@@ -220,14 +227,21 @@ class NeighborTable:
         "_next_expiry", "_changes", "_frozen", "expirations",
     )
 
-    def __init__(self, store: NeighborStore, host_id: int) -> None:
+    def __init__(
+        self,
+        store: NeighborStore,
+        host_id: int,
+        column: np.ndarray,
+        two_hop: np.ndarray,
+    ) -> None:
         self.host_id = host_id
         self._store = store
-        # This host's column of the store's arrays, the expiries also as a
-        # memoryview for reads of one entry.
-        self._column = store._expiry[:, host_id]
-        self._expiry = memoryview(self._column)
-        self._two_hop = store._two_hop[:, host_id]
+        # This host's column of the store's arrays (views the store makes
+        # in bulk), the expiries also as a memoryview for reads of one
+        # entry.
+        self._column = column
+        self._expiry = memoryview(column)
+        self._two_hop = two_hop
         self._members: Dict[int, None] = {}
         #: No member expires before this instant.
         self._next_expiry = _INF
