@@ -23,7 +23,11 @@ Counter semantics
 ``events_processed`` counts the callbacks that actually ran;
 ``events_cancelled`` the events withdrawn before firing (MAC backoff
 freezes, scheme S5 inhibits); ``heap_compactions`` how many times the
-scheduler reclaimed cancelled husks in bulk.
+scheduler reclaimed cancelled husks in bulk.  A medium edge marks the
+access events of all the MACs it freezes cancelled in place and reports
+them to the scheduler at once, so compaction is checked once per edge,
+not once per cancelled event: ``events_cancelled`` is unchanged by that,
+``heap_compactions`` can differ from per-event checking.
 ``events_pending_final``/``cancelled_pending_final`` are the heap residue
 (entries left on the heap, and how many of those are cancelled husks) when
 the run ended -- including runs that quiesce early under faults -- closing

@@ -19,16 +19,30 @@ storm bite:
 - A host is half-duplex: frames arriving while it transmits are corrupted
   for it, though they still occupy its carrier sense afterwards.
 
+Host bitsets
+------------
+Per-host medium state is kept in Python ints used as bitsets over host
+ids: bit ``h`` stands for host ``h``.  Set algebra over every host a
+frame reaches is then a few int operations, however many receivers it
+has.  The channel's are :attr:`Channel.busy` (hosts hearing at least one
+frame on the air), :attr:`Channel.transmitting`, :attr:`Channel.sensed`
+and :attr:`Channel.subscribed`; each frame on the air carries the
+``mask`` of the receivers it still reaches and the ``clean`` mask of
+those at which it is still uncorrupted.  Bit order is id order; where
+order matters (edges, deliveries and drop-predicate queries), hosts are
+visited in the frame's receiver order, which is attach order as of the
+frame's start, and id order until attach order diverges from it.
+
 Carrier sensing
 ---------------
-Each host's sensed carrier state lives in the channel, in two arrays:
-:attr:`Channel.sensed_busy` and :attr:`Channel.idle_since` (the instant of
-the host's last idle edge; 0.0 until the first).  They track *incoming*
-energy only (transitions of the host's in-flight reception set between
-empty and non-empty); a host's own transmission state is something its MAC
-already knows, so it is deliberately excluded.  The
-:meth:`Channel.carrier_busy` poll, used by tests, reports the physical truth
-(incoming energy or own transmission).
+Each host's sensed carrier state lives in the channel: its bit in
+:attr:`Channel.sensed` and :attr:`Channel.idle_since` (a numpy array: the
+instant of the host's last idle edge; 0.0 until the first).  They track
+*incoming* energy only (a host's bit of :attr:`Channel.busy` turning on
+or off); a host's own transmission state is something its MAC already
+knows, so it is deliberately excluded.  The :meth:`Channel.carrier_busy`
+poll, used by tests, reports the physical truth (incoming energy or own
+transmission).
 
 Busy edges take effect through a zero-delay event rather than
 synchronously.  This models the fact that clear-channel assessment cannot
@@ -38,14 +52,17 @@ countdowns expire at the same instant all transmit and collide, instead of
 the second one impossibly sensing the first with zero delay.  Idle edges
 are synchronous -- at frame end there is no equivalent race.
 
-Each edge updates the arrays for every host it reaches, in one bulk
-assignment, and then calls ``on_medium_state(busy)`` in receiver order on
-those whose bit in :attr:`Channel.subscribed` is set.  Every listener is
-subscribed at :meth:`Channel.attach`; a listener may clear its own bit
-while it would ignore every edge and must set it again before it would
-not (:class:`repro.mac.csma.CsmaCaMac` clears it while it has nothing to
-send and no backoff pending).  Attach and detach reset a host's sensed
-state to idle since 0.0.
+An edge updates :attr:`Channel.sensed` (and, going idle,
+:attr:`Channel.idle_since`) for every host it reaches, and then hands the
+listeners whose bit in :attr:`Channel.subscribed` is set, in the frame's
+receiver order, to their class's :meth:`RadioListener.on_medium_edge` in
+one call: by default one ``on_medium_state(busy)`` upcall each, while
+:class:`repro.mac.csma.CsmaCaMac` freezes or resumes all its MACs in one
+loop.  Every listener is subscribed at :meth:`Channel.attach`; a listener
+may clear its own bit while it would ignore every edge and must set it
+again before it would not (the MAC clears it while it has nothing to send
+and no backoff pending).  Attach and detach reset a host's sensed state to
+idle since 0.0.
 
 Failure injection
 -----------------
@@ -63,56 +80,58 @@ Receiver scan
 Host positions come from a :class:`repro.mobility.store.PositionStore`,
 which evaluates every host for a timestamp in one batched call.  A
 transmission's receiver set is one numpy distance mask over those
-arrays.  The mask yields hosts in id order; when attach order and id
-order have diverged (a host crashed and recovered), the matched set is
-re-sorted by attach order, so receiver iteration -- and with it the RNG
-draw order of stateful drop predicates, medium-busy edge order and
-delivery callback order -- always follows attach order.
+arrays, kept both as an id array and as a bitset.  The mask yields hosts
+in id order; when attach order and id order have diverged (a host crashed
+and recovered), the id array is re-sorted by attach order, so receiver
+iteration -- and with it the RNG draw order of stateful drop predicates,
+medium-busy edge order and delivery callback order -- always follows
+attach order.
 
 Reception state
 ---------------
-Without capture, per-receiver state is flat arrays, justified by the
-*all-corrupted invariant* of the no-capture collision rule: any arrival
-into a busy receiver garbles everything it is hearing, and receptions
-only leave by ending, so at every instant a receiver has **at most one
-clean reception** (the first frame into an idle receiver).  An in-flight
-count plus a single clean-sender slot per receiver therefore carry the
-full reception state, and per-transmission bookkeeping is a handful of
-numpy fancy-index operations.  A receiver's in-flight count is the number
-of frames on the air that reach it, so while no other frame is on the air
-a new frame finds every receiver idle and none transmitting.
-
-A receiver that detaches mid-frame joins the frame's ``lost`` set, and
-the frame's end (or abort) skips it, also if it has re-attached by then.
+Without capture, a frame's ``clean`` mask is the whole reception state,
+justified by the *all-corrupted invariant* of the no-capture collision
+rule: any arrival into a busy receiver garbles everything it is hearing,
+and receptions only leave by ending, so at every instant a receiver has
+**at most one clean reception** (the first frame into an idle receiver).
+A new frame's overlapped receivers are its mask and :attr:`Channel.busy`;
+they leave the clean mask of every frame already on the air, and the new
+frame starts clean only at the receivers it found idle that are not deaf
+or dropped.  A receiver that detaches mid-frame leaves the mask of every
+frame on the air, so the frame's end (or abort) skips it, also if it has
+re-attached by then.
 
 A capture model breaks that invariant (a strong frame can survive an
 overlap), so with one set, and only then, each receiver also keeps an
-arrival-ordered ``{sender: [power, corrupted]}`` inbox.  The overlap rule
-sums the inbox's powers in arrival order: float addition is not
-associative, so that order is part of the result.
+arrival-ordered ``{sender: power}`` inbox, and a frame that loses an
+overlap leaves its clean mask there.  The overlap rule sums the inbox's
+powers in arrival order: float addition is not associative, so that
+order is part of the result.
 
 Either way:
 
-- per-host rx airtime and MAC ``frames_corrupted`` tallies accumulate in
-  arrays, and the MAC ``frames_received`` bumps of bulk-delivered frames
-  with many receivers as their receiver arrays; all are folded into their
-  dict/stats form whenever :attr:`Channel.stats` is read;
+- per-host rx airtime accumulates in a numpy array, and the MAC
+  ``frames_corrupted`` bumps of swallowed corruptions and the
+  ``frames_received`` bumps of bulk-delivered frames as logs of receiver
+  masks; all are folded into their dict/stats form whenever
+  :attr:`Channel.stats` is read;
 - a frame's arrivals that are corrupted from their start form one mask:
   deaf (the receiver is transmitting) or dropped by the
   ``drop_predicate``, which is asked once about every other receiver, in
   attach order, so a stateful predicate draws its RNG in that order.
-  The batched overlap rule and, with capture, the inbox read that mask;
+  The overlap rule and, with capture, the inbox read that mask;
 - tracing or a corrupted-frame-notify listener forces the per-reception
   dispatch loop at frame end, keeping callback/record order identical;
-- otherwise a frame's clean receivers are first offered, all at once, to
-  the :attr:`Channel.bulk_delivery` hook, and get per-listener upcalls
-  only if it declines the frame.
+- otherwise a frame's clean receivers are first offered, all at once and
+  as an id array, to the :attr:`Channel.bulk_delivery` hook, and get
+  per-listener upcalls only if it declines the frame.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -132,8 +151,18 @@ class RadioListener:
         """Edge-triggered carrier-sense change, called only while the
         host's bit in :attr:`Channel.subscribed` is set (from attach until
         the listener clears it), after the channel has recorded the edge
-        in :attr:`Channel.sensed_busy` and :attr:`Channel.idle_since`."""
+        in :attr:`Channel.sensed` and :attr:`Channel.idle_since`."""
         raise NotImplementedError
+
+    @staticmethod
+    def on_medium_edge(listeners: Sequence["RadioListener"], busy: bool) -> None:
+        """One edge for ``listeners``, subscribed and all of this class,
+        in the frame's receiver order: each one's :meth:`on_medium_state`.
+        A class may override it to handle the whole edge in one pass; the
+        channel calls it only if every listener attached so far shares
+        it."""
+        for listener in listeners:
+            listener.on_medium_state(busy)
 
     def on_frame_received(self, frame: Any, sender_id: int) -> None:
         """A frame completed without collision."""
@@ -210,21 +239,35 @@ class ChannelStats:
         return sum(self.rx_airtime.values())
 
 
-#: Bulk deliveries to at least this many receivers log their receiver
-#: arrays for the MACs' ``frames_received`` bumps, and this many logged
-#: arrays are counted and folded in at once (a bound on the memory they
-#: hold); fewer receivers are bumped one by one at once.
-_LOG_FROM = 12
+#: Logged receiver masks are counted and folded into the MACs' tallies
+#: this many at a time (a bound on the memory they hold).
 _FOLD_EVERY = 256
 
-# One capture-inbox entry: [power, corrupted].
-_RX_POWER = 0
-_RX_CORRUPTED = 1
+if hasattr(int, "bit_count"):
+    _popcount = int.bit_count
+else:  # Python < 3.10
+    def _popcount(bits: int) -> int:
+        return bin(bits).count("1")
+
+
+@functools.lru_cache(maxsize=None)
+def _nibble_ids(position: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """For the low and the high four bits of the bitset byte at
+    ``position``: for each of their 16 values, the host ids of the set
+    bits, in increasing order."""
+    return tuple(
+        tuple(
+            tuple(base + bit for bit in range(4) if nibble >> bit & 1)
+            for nibble in range(16)
+        )
+        for base in (8 * position, 8 * position + 4)
+    )
 
 
 class _Transmission:
     __slots__ = (
-        "sender_id", "frame", "end_time", "receiver_ids", "lost", "end_event",
+        "sender_id", "frame", "end_time", "receiver_ids", "mask", "clean",
+        "end_event",
     )
 
     def __init__(
@@ -233,23 +276,19 @@ class _Transmission:
         frame: Any,
         end_time: float,
         receiver_ids: np.ndarray,
+        mask: int,
     ) -> None:
         self.sender_id = sender_id
         self.frame = frame
         self.end_time = end_time
+        #: The receivers, in attach order, and as a bitset.  A receiver
+        #: that detaches mid-frame (a crash) leaves both, so the frame's
+        #: end skips it, also if it has re-attached since.
         self.receiver_ids = receiver_ids
-        #: Receivers that detached mid-frame (a crash): the frame's end
-        #: skips them, also if they have re-attached since.
-        self.lost: Set[int] = set()
+        self.mask = mask
+        #: The receivers at which the frame is still uncorrupted.
+        self.clean = 0
         self.end_event: Any = None
-
-    def heard_to_end(self) -> np.ndarray:
-        """The receivers not lost to a detach."""
-        ids = self.receiver_ids
-        lost = self.lost
-        if not lost:
-            return ids
-        return ids[np.isin(ids, list(lost), invert=True)]
 
 
 class Channel:
@@ -287,38 +326,43 @@ class Channel:
         self._stats = ChannelStats()
         n = position_store.size
         self._size = n
+        self._nbytes = (n + 7) // 8
+        self._id_rows = [_nibble_ids(position) for position in range(self._nbytes)]
         self._attached = np.zeros(n, dtype=bool)
+        # Host bitsets (module docstring).
+        #: Hosts hearing at least one frame on the air: the union of
+        #: the masks of the frames on the air.
+        self.busy = 0
+        #: Hosts with a frame on the air.
+        self.transmitting = 0
         #: Per-host sensed carrier (module docstring): busy between a
         #: busy edge and the next idle edge, and the instant of the last
         #: idle edge.
-        self.sensed_busy = np.zeros(n, dtype=bool)
+        self.sensed = 0
         self.idle_since = np.zeros(n, dtype=np.float64)
-        #: Hosts whose listener gets ``on_medium_state`` calls.
-        self.subscribed = np.zeros(n, dtype=bool)
-        # Reception state (module docstring): in-flight count + the id of
-        # the at most one clean reception's sender (-1 none) per receiver.
-        self._inflight = np.zeros(n, dtype=np.int32)
-        self._clean_sender = np.full(n, -1, dtype=np.int32)
-        self._transmitting = np.zeros(n, dtype=bool)
-        #: Capture only: per-receiver arrival-ordered inbox.
-        self._inboxes: Optional[List[Dict[int, list]]] = (
+        #: Hosts whose listeners get medium edges.
+        self.subscribed = 0
+        #: Capture only: per-receiver arrival-ordered ``{sender: power}``.
+        self._inboxes: Optional[List[Dict[int, float]]] = (
             [{} for _ in range(n)] if capture is not None else None
         )
         self._order = np.zeros(n, dtype=np.int64)
         # Whether attach order still equals id order; any detach (crash)
-        # clears it and matched sets are re-sorted per scan from then on.
+        # clears it and receivers are re-sorted from then on.
         self._sorted = True
-        # Array-accumulated per-host tallies, folded into the dict/stats
-        # form whenever ``stats`` is read.
-        self._corrupted = np.zeros(n, dtype=np.int64)
-        self._corrupted_flushed = np.zeros(n, dtype=np.int64)
+        # What the listeners' edges go through: their class's
+        # ``on_medium_edge`` if every listener attached so far shares one.
+        self._edge: Optional[Callable[[Sequence[RadioListener], bool], None]] = None
+        # Per-host tallies, folded into the dict/stats form whenever
+        # ``stats`` is read.
         self._rx_air = np.zeros(n, dtype=np.float64)
-        self._rx_seen = np.zeros(n, dtype=bool)
+        self._rx_seen = 0
         self._rx_order: List[int] = []
         self._mac_stats: Dict[int, Any] = {}
-        # Receiver arrays of the large frames the bulk-delivery hook
-        # took, not yet counted into the MACs' ``frames_received``.
-        self._bulk_received: List[np.ndarray] = []
+        # Receiver masks whose MAC ``frames_corrupted`` / ``frames_received``
+        # bumps are not yet counted in.
+        self._corrupted_log: List[int] = []
+        self._received_log: List[int] = []
         # Any attached listener that wants per-frame corruption upcalls
         # forces the ordered dispatch loop at frame end.
         self._any_notify = False
@@ -340,12 +384,12 @@ class Channel:
     def stats(self) -> ChannelStats:
         """Medium-wide counters, with the per-host tallies folded in.
 
-        Per-host rx airtime and the MAC ``frames_corrupted`` bumps of
-        listeners that swallow corruption upcalls accumulate in arrays on
-        the hot path, and the ``frames_received`` bumps of large
-        bulk-delivered frames as a list of receiver arrays; each read
-        rebuilds the rx-airtime dict from them in first-touch order (which
-        fixes its float summation order) and delta-flushes the MAC bumps.
+        Per-host rx airtime accumulates in an array on the hot path, and
+        the MAC ``frames_corrupted`` bumps of listeners that swallow
+        corruption upcalls and the ``frames_received`` bumps of
+        bulk-delivered frames as logs of receiver masks; each read
+        rebuilds the rx-airtime dict in first-touch order (which fixes its
+        float summation order) and adds the logged bumps to the MACs.
         Idempotent and safe mid-run.
         """
         rx_vec = self._rx_air
@@ -353,32 +397,37 @@ class Channel:
         rx_air.clear()
         for host_id in self._rx_order:
             rx_air[host_id] = float(rx_vec[host_id])
-        corrupted = self._corrupted
-        flushed = self._corrupted_flushed
-        pending = corrupted - flushed
-        if pending.any():
-            mac_stats = self._mac_stats
-            for host_id in np.nonzero(pending)[0].tolist():
-                stats_obj = mac_stats.get(host_id)
-                if stats_obj is not None:
-                    stats_obj.frames_corrupted += int(pending[host_id])
-            flushed[:] = corrupted
-        if self._bulk_received:
-            self._fold_bulk_received()
+        self._fold_logs()
         return self._stats
 
-    def _fold_bulk_received(self) -> None:
-        """Add the waiting bulk deliveries to the MACs' ``frames_received``.
+    def _bit_counts(self, log: List[int]) -> List[Tuple[int, int]]:
+        """``(host_id, count)`` for each host set in any mask of ``log``,
+        which it empties."""
+        nbytes = self._nbytes
+        packed = np.frombuffer(
+            b"".join([bits.to_bytes(nbytes, "little") for bits in log]),
+            dtype=np.uint8,
+        ).reshape(len(log), nbytes)
+        log.clear()
+        counts = np.unpackbits(packed, axis=1, bitorder="little").sum(axis=0)
+        hosts = counts.nonzero()[0]
+        return list(zip(hosts.tolist(), counts[hosts].tolist()))
 
-        Only listeners in ``_mac_stats`` reach the bulk path (any other
-        forces the per-reception loop), and an entry outlives a detach.
+    def _fold_logs(self) -> None:
+        """Add the logged bumps to the MACs' ``frames_corrupted`` and
+        ``frames_received``.
+
+        Only listeners in ``_mac_stats`` reach the logs (any other forces
+        the per-reception loop), and an entry outlives a detach.  A bump
+        goes to the host's listener as of the fold; a MAC re-attaches
+        itself (``restart``), so that is the MAC that heard the frame.
         """
-        received = self._bulk_received
-        counts = np.bincount(np.concatenate(received), minlength=self._size)
-        received.clear()
         mac_stats = self._mac_stats
-        for host_id, count in enumerate(counts.tolist()):
-            if count:
+        if self._corrupted_log:
+            for host_id, count in self._bit_counts(self._corrupted_log):
+                mac_stats[host_id].frames_corrupted += count
+        if self._received_log:
+            for host_id, count in self._bit_counts(self._received_log):
                 mac_stats[host_id].frames_received += count
 
     @property
@@ -405,20 +454,28 @@ class Channel:
             )
         self._listeners[host_id] = listener
         order = next(self._attach_counter)
-        # Reception state is already clear: it starts zeroed, unattached
-        # hosts are never scanned, and detach clears it.
+        # Reception state is already clear: unattached hosts are never
+        # scanned, and detach clears it.
         attached[host_id] = True
         self._order[host_id] = order
-        self.sensed_busy[host_id] = False
+        bit = 1 << host_id
+        self.sensed &= ~bit
         self.idle_since[host_id] = 0.0
-        self.subscribed[host_id] = True
+        self.subscribed |= bit
+        edge = getattr(
+            type(listener), "on_medium_edge", RadioListener.on_medium_edge
+        )
+        if self._edge is None:
+            self._edge = edge
+        elif self._edge is not edge:
+            self._edge = RadioListener.on_medium_edge
         stats_obj = getattr(listener, "stats", None)
         if (
             stats_obj is not None
             and getattr(listener, "_notify_corrupt", True) is False
         ):
             # MAC that swallows corruption upcalls: its counter can be
-            # bumped in bulk from the corruption array at flush time.
+            # bumped in bulk from the corruption log at fold time.
             self._mac_stats[host_id] = stats_obj
         else:
             self._any_notify = True
@@ -431,21 +488,25 @@ class Channel:
         If the host is mid-transmission its frame is aborted first, so the
         scheduled end-of-frame event neither KeyErrors nor delivers a frame
         from a radio that no longer exists.  Receptions in progress at the
-        host simply vanish: the host joins each such frame's lost set.
+        host simply vanish: the host leaves each such frame's receivers.
         """
         if host_id in self._active:
             self.abort_transmission(host_id)
         self._listeners.pop(host_id, None)
-        if 0 <= host_id < len(self._attached):
+        if 0 <= host_id < self._size:
             self._attached[host_id] = False
+            bit = 1 << host_id
+            keep = ~bit
             for tx in self._active.values():
-                if host_id in tx.receiver_ids:
-                    tx.lost.add(host_id)
-            self._inflight[host_id] = 0
-            self._clean_sender[host_id] = -1
-            self.sensed_busy[host_id] = False
+                if tx.mask & bit:
+                    tx.mask &= keep
+                    tx.clean &= keep
+                    ids = tx.receiver_ids
+                    tx.receiver_ids = ids[ids != host_id]
+            self.busy &= keep
+            self.sensed &= keep
             self.idle_since[host_id] = 0.0
-            self.subscribed[host_id] = False
+            self.subscribed &= keep
             if self._inboxes is not None:
                 self._inboxes[host_id] = {}
             # A later re-attach gets a fresh (higher) order index, so
@@ -478,26 +539,11 @@ class Channel:
             self._trace.records.append(
                 (now, "tx-abort", sender_id, kind, src, seq)
             )
-        self._transmitting[sender_id] = False
-        if not tx.receiver_ids.size:
-            return True
-        vids = tx.heard_to_end()
-        inflight = self._inflight
-        inflight[vids] -= 1
-        self._stats.truncated_receptions += int(vids.size)
-        self._rx_air[vids] -= remainder
-        inboxes = self._inboxes
-        if inboxes is None:
-            clean_sender = self._clean_sender
-            mine = vids[clean_sender[vids] == sender_id]
-            if mine.size:
-                clean_sender[mine] = -1
-        else:
-            for host_id in vids.tolist():
-                del inboxes[host_id][sender_id]
-        idle = vids[inflight[vids] == 0]
-        if idle.size:
-            self._idle_edge(idle)
+        ids = tx.receiver_ids
+        if ids.size:
+            self._stats.truncated_receptions += int(ids.size)
+            self._rx_air[ids] -= remainder
+        self._off_air(tx)
         return True
 
     @property
@@ -509,13 +555,33 @@ class Channel:
 
     def carrier_busy(self, host_id: int) -> bool:
         """Whether ``host_id`` senses energy (incoming or its own TX)."""
-        return bool(self._inflight[host_id]) or host_id in self._active
+        return bool(self.busy >> host_id & 1) or host_id in self._active
 
-    def _scan(self, host_id: int) -> Tuple[np.ndarray, np.ndarray]:
+    def _ids_in(self, bits: int, order: np.ndarray) -> List[int]:
+        """The hosts set in ``bits`` (not 0), all in ``order`` (a scan's id
+        array, in attach order as of that scan), in that order.
+
+        While attach order is id order, that is bit order.
+        """
+        if not bits & (bits - 1):  # one host
+            return [bits.bit_length() - 1]
+        if not self._sorted:
+            return [host_id for host_id in order.tolist() if bits >> host_id & 1]
+        ids: List[int] = []
+        for (low, high), byte in zip(
+            self._id_rows, bits.to_bytes(self._nbytes, "little")
+        ):
+            if byte:
+                ids += low[byte & 15]
+                ids += high[byte >> 4]
+        return ids
+
+    def _scan(self, host_id: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The attached hosts within radio range of ``host_id`` (itself
-        excluded), in attach order, and every host's squared distance to
-        it: one vectorized distance mask over the store's ``(2, n)``
-        positions, which the caller has brought to now."""
+        excluded), as an id array in attach order and as a bool mask over
+        host ids, and every host's squared distance to it: one vectorized
+        distance mask over the store's ``(2, n)`` positions, which the
+        caller has brought to now."""
         xy = self._xy
         d = xy - xy[:, host_id, None]
         d *= d
@@ -530,7 +596,7 @@ class Channel:
             ids = ids[np.argsort(self._order[ids], kind="stable")]
         self._stats.batch_scans += 1
         self._stats.vector_candidates += ids.size
-        return ids, dsq
+        return ids, mask, dsq
 
     def neighbors_in_range(self, host_id: int) -> List[int]:
         """Geometric oracle: attached hosts within radio range right now."""
@@ -557,101 +623,68 @@ class Channel:
         stats.transmissions += 1
         stats.add_tx_airtime(sender_id, duration)
 
-        # (deaf_misses / collisions accumulate in locals through the
-        # receiver scan; slot stores are hoisted out.)
-        deaf_misses = 0
-        collisions = 0
+        ids, in_range, dsq = self._scan(sender_id)
+        rx = (
+            int.from_bytes(np.packbits(in_range, bitorder="little").tobytes(), "little")
+            if ids.size else 0
+        )
+        busy = self.busy
+        fresh = rx & ~busy
+        overlapped = rx ^ fresh
+        # Arrivals corrupted from their start: deaf (the receiver is
+        # transmitting) or dropped (the predicate is asked about every
+        # other receiver, in attach order).
+        corrupted = rx & self.transmitting
+        deaf_misses = _popcount(corrupted) if corrupted else 0
         drop_predicate = self._drop_predicate
-        inflight = self._inflight
-        clean_sender = self._clean_sender
-        transmitting = self._transmitting
-        inboxes = self._inboxes
-        # Half-duplex: anything the sender was receiving is now garbled.
-        # Without capture at most one clean reception can exist (module
-        # docstring), so the whole sweep is one slot check.
-        if inboxes is None:
-            if clean_sender[sender_id] >= 0:
-                clean_sender[sender_id] = -1
-                deaf_misses += 1
-        else:
-            for reception in inboxes[sender_id].values():
-                if not reception[_RX_CORRUPTED]:
-                    reception[_RX_CORRUPTED] = True
+        if drop_predicate is not None and rx:
+            dropped = 0
+            for host_id in ids.tolist():
+                bit = 1 << host_id
+                if not corrupted & bit and drop_predicate(sender_id, host_id):
+                    dropped |= bit
+            if dropped:
+                stats.injected_drops += _popcount(dropped)
+                corrupted |= dropped
+        # Half-duplex: anything the sender was hearing is garbled now.
+        # Without capture, the (at most one) clean reception at each
+        # overlapped receiver flips as well.
+        sender_bit = 1 << sender_id
+        capture = self._inboxes is not None
+        flip = sender_bit if capture else sender_bit | overlapped
+        collisions = 0
+        active = self._active
+        for other in active.values():
+            hit = other.clean & flip
+            if hit:
+                other.clean ^= hit
+                if hit & sender_bit:
                     deaf_misses += 1
-        ids, dsq = self._scan(sender_id)
-        # No other frame on the air: every receiver is idle and none is
-        # transmitting (module docstring).
-        quiet = not self._active
-        tx = _Transmission(sender_id, frame, now + duration, ids)
-        self._active[sender_id] = tx
-        transmitting[sender_id] = True
-        newly_busy = ids
-        if ids.size:
-            rx_order = self._rx_order
-            if len(rx_order) < self._size:
-                # Track first-touch order so the flushed rx_airtime dict
-                # sums in the order receivers first heard anything.
-                rx_seen = self._rx_seen
-                new_first = ids[~rx_seen[ids]]
-                if new_first.size:
-                    rx_seen[new_first] = True
-                    rx_order.extend(new_first.tolist())
+                    hit ^= sender_bit
+                if hit:
+                    collisions += _popcount(hit)
+        tx = _Transmission(sender_id, frame, now + duration, ids, rx)
+        active[sender_id] = tx
+        self.transmitting |= sender_bit
+        self.busy = busy | rx
+        if capture:
+            tx.clean = rx & ~corrupted
+            if rx:
+                collisions += self._arrive_capture(tx, dsq, overlapped)
+        else:
+            # The new arrival lands corrupted at every overlapped
+            # receiver: one collision each, unless it already was.
+            tx.clean = fresh & ~corrupted
+            if overlapped:
+                collisions += _popcount(overlapped & ~corrupted)
+        if rx:
+            first = rx & ~self._rx_seen
+            if first:
+                # First-touch order fixes the flushed rx_airtime dict's
+                # summation order.
+                self._rx_seen |= first
+                self._rx_order += self._ids_in(first, ids)
             self._rx_air[ids] += duration
-            if quiet and inboxes is None and drop_predicate is None:
-                inflight[ids] = 1
-                clean_sender[ids] = sender_id
-            else:
-                prev = inflight[ids]
-                inflight[ids] = prev + 1
-                fresh = prev == 0
-                n_fresh = np.count_nonzero(fresh)
-                if n_fresh < ids.size:
-                    newly_busy = ids[fresh]
-                # Arrivals corrupted from their start: deaf (the receiver
-                # is transmitting) or dropped (the predicate is asked about
-                # every other receiver, in attach order).
-                corrupted = transmitting[ids]
-                n_deaf = int(np.count_nonzero(corrupted))
-                deaf_misses += n_deaf
-                n_corrupted = n_deaf
-                if drop_predicate is not None:
-                    corrupted = np.array([
-                        deaf or drop_predicate(sender_id, host_id)
-                        for host_id, deaf in zip(
-                            ids.tolist(), corrupted.tolist()
-                        )
-                    ], dtype=bool)
-                    n_corrupted = int(np.count_nonzero(corrupted))
-                    stats.injected_drops += n_corrupted - n_deaf
-                if inboxes is not None:
-                    collisions += self._arrive_capture(
-                        sender_id, dsq[ids], ids, prev, corrupted
-                    )
-                else:
-                    if n_fresh == ids.size:
-                        new_clean = ids[~corrupted] if n_corrupted else ids
-                    else:
-                        # Overlap rule, batched: the (at most one) clean
-                        # reception already at each overlapped receiver
-                        # flips, and the new arrival lands corrupted --
-                        # one collision each, unless it already was.
-                        overlapped = ~fresh
-                        overlap_ids = ids[overlapped]
-                        old_clean = overlap_ids[
-                            clean_sender[overlap_ids] >= 0
-                        ]
-                        if old_clean.size:
-                            collisions += old_clean.size
-                            clean_sender[old_clean] = -1
-                        collisions += overlap_ids.size - int(
-                            np.count_nonzero(corrupted[overlapped])
-                        )
-                        new_clean = (
-                            ids[fresh & ~corrupted] if n_corrupted
-                            else newly_busy
-                        )
-                    if new_clean.size:
-                        clean_sender[new_clean] = sender_id
 
         if deaf_misses:
             stats.deaf_misses += deaf_misses
@@ -663,25 +696,19 @@ class Channel:
                 now, "tx-start", sender_id, kind, src, seq, hops, duration,
                 len(ids),
             ))
-        if newly_busy.size:
-            scheduler.schedule_at(now, self._notify_busy, newly_busy)
+        if fresh:
+            scheduler.schedule_at(now, self._notify_busy, fresh, ids)
         tx.end_event = scheduler.schedule_at(
             now + duration, self._end_transmission, sender_id
         )
 
     def _arrive_capture(
-        self,
-        sender_id: int,
-        dsq: np.ndarray,
-        ids: np.ndarray,
-        prev: np.ndarray,
-        corrupted: np.ndarray,
+        self, tx: _Transmission, dsq: np.ndarray, overlapped: int
     ) -> int:
-        """Land one frame in each receiver's capture inbox, in attach
-        order, and return the collisions it caused.  ``dsq`` holds the
-        receivers' squared distances from the sender (the ones the scan
-        compared against the radius), ``prev`` their in-flight counts
-        before this frame and ``corrupted`` whether it arrives corrupted.
+        """Land ``tx`` in each receiver's capture inbox, in attach order,
+        and return the collisions it caused.  ``dsq`` holds every host's
+        squared distance from the sender (what the scan compared against
+        the radius), ``overlapped`` the receivers that were already busy.
 
         Each still-clean frame in an overlap survives only if its power
         beats the summed power of the others by the capture threshold;
@@ -692,84 +719,75 @@ class Channel:
         power_of = capture.power
         survives = capture.survives
         inboxes = self._inboxes
+        active = self._active
+        sender_id = tx.sender_id
+        ids = tx.receiver_ids
         collisions = 0
-        for host_id, dist_sq, garbled, count in zip(
-            ids.tolist(), dsq.tolist(), corrupted.tolist(), prev.tolist(),
-        ):
+        for host_id, dist_sq in zip(ids.tolist(), dsq[ids].tolist()):
             inbox = inboxes[host_id]
-            inbox[sender_id] = [power_of(dist_sq ** 0.5), garbled]
-            if not count:
+            inbox[sender_id] = power_of(dist_sq ** 0.5)
+            bit = 1 << host_id
+            if not overlapped & bit:
                 continue
-            total = sum(r[_RX_POWER] for r in inbox.values())
-            for reception in inbox.values():
-                if reception[_RX_CORRUPTED]:
-                    continue
-                power = reception[_RX_POWER]
-                if not survives(power, total - power):
-                    reception[_RX_CORRUPTED] = True
+            total = sum(inbox.values())
+            for other_id, power in inbox.items():
+                other = active[other_id]
+                if other.clean & bit and not survives(power, total - power):
+                    other.clean ^= bit
                     collisions += 1
         return collisions
 
-    def _notify_busy(self, host_ids: np.ndarray) -> None:
-        """The zero-delay busy edge of the hosts a frame found idle."""
-        self.sensed_busy[host_ids] = True
-        subscribed = host_ids[self.subscribed[host_ids]]
-        if subscribed.size:
-            listeners = self._listeners
-            for host_id in subscribed.tolist():
-                listeners[host_id].on_medium_state(True)
+    def _listeners_in(self, bits: int, order: np.ndarray) -> List[RadioListener]:
+        listeners = self._listeners
+        return [listeners[host_id] for host_id in self._ids_in(bits, order)]
 
-    def _idle_edge(self, host_ids: np.ndarray) -> None:
-        """Idle edge of ``host_ids``, which now hear nothing."""
-        self.sensed_busy[host_ids] = False
-        self.idle_since[host_ids] = self._scheduler._now
-        subscribed = host_ids[self.subscribed[host_ids]]
-        if subscribed.size:
-            listeners = self._listeners
-            for host_id in subscribed.tolist():
-                listeners[host_id].on_medium_state(False)
+    def _notify_busy(self, host_bits: int, order: np.ndarray) -> None:
+        """The zero-delay busy edge of the hosts a frame found idle, in
+        the order of its receivers, ``order``, as it started."""
+        self.sensed |= host_bits
+        subscribed = host_bits & self.subscribed
+        if subscribed:
+            self._edge(self._listeners_in(subscribed, order), True)
+
+    def _off_air(self, tx: _Transmission) -> None:
+        """Take ``tx``, already out of ``_active``, off the air: its
+        receivers that hear nothing else get their idle edge."""
+        self.transmitting &= ~(1 << tx.sender_id)
+        mask = tx.mask
+        if not mask:
+            return
+        ids = tx.receiver_ids
+        inboxes = self._inboxes
+        if inboxes is not None:
+            sender_id = tx.sender_id
+            for host_id in ids.tolist():
+                del inboxes[host_id][sender_id]
+        busy = 0
+        for other in self._active.values():
+            busy |= other.mask
+        self.busy = busy
+        idle = mask & ~busy
+        if not idle:
+            return
+        self.sensed &= ~idle
+        self.idle_since[ids if idle == mask else self._ids_in(idle, ids)] = (
+            self._scheduler._now
+        )
+        subscribed = idle & self.subscribed
+        if subscribed:
+            self._edge(self._listeners_in(subscribed, ids), False)
 
     def _end_transmission(self, sender_id: int) -> None:
         """Frame end: idle edges fire first in receiver order, then
-        reception outcomes dispatch in receiver order.  Receivers in the
-        frame's lost set (detached mid-frame) are skipped."""
+        reception outcomes dispatch in receiver order.  Receivers that
+        detached mid-frame are skipped."""
         tx = self._active.pop(sender_id, None)
         if tx is None:  # aborted mid-frame (the end event should have been
             return      # cancelled; this guard makes the race harmless)
-        self._transmitting[sender_id] = False
-        vids = tx.heard_to_end()
-        size = vids.size
-        inboxes = self._inboxes
-        if inboxes is None:
-            clean_sender = self._clean_sender
-            clean = clean_sender[vids] == sender_id
-            n_clean = int(np.count_nonzero(clean))
-            delivered = vids if n_clean == size else vids[clean]
-            if n_clean:
-                clean_sender[delivered] = -1
-        else:
-            clean = np.array(
-                [
-                    not inboxes[host_id].pop(sender_id)[_RX_CORRUPTED]
-                    for host_id in vids.tolist()
-                ],
-                dtype=bool,
-            )
-            delivered = vids[clean]
-            n_clean = delivered.size
-        if size:
-            inflight = self._inflight
-            if self._active:
-                inflight[vids] -= 1
-                still = inflight[vids]
-                idle = vids[still == 0] if np.count_nonzero(still) else vids
-            else:
-                # No frame left on the air: this one was all each
-                # receiver heard.
-                inflight[vids] = 0
-                idle = vids
-            if idle.size:
-                self._idle_edge(idle)
+        ids = tx.receiver_ids
+        mask = tx.mask
+        clean = tx.clean
+        self._off_air(tx)
         frame = tx.frame
         trace = self._trace
         deliveries = 0
@@ -781,11 +799,11 @@ class Channel:
                 kind, src, seq, _hops = frame_ident(frame)
                 trace_records = trace.records
                 now = self._scheduler._now
-            for host_id, is_clean in zip(vids.tolist(), clean.tolist()):
+            for host_id in ids.tolist():
                 listener = listeners_get(host_id)
                 if listener is None:
                     continue
-                if is_clean:
+                if clean >> host_id & 1:
                     deliveries += 1
                     if trace is not None:
                         trace_records.append(
@@ -800,30 +818,30 @@ class Channel:
                         )
                     listener.on_frame_corrupted(frame, sender_id)
         else:
-            if n_clean < size:
+            if clean != mask:
                 # Every attached listener swallows corruption upcalls
-                # (MAC stat bump only) -- accumulate the bumps in the
-                # array; reading ``stats`` folds them into MacStats.
-                self._corrupted[vids[~clean]] += 1
-            deliveries = n_clean
-            if deliveries:
+                # (MAC stat bump only): log the bumps; reading ``stats``
+                # folds them into MacStats.
+                log = self._corrupted_log
+                log.append(mask & ~clean)
+                if len(log) >= _FOLD_EVERY:
+                    self._fold_logs()
+            if clean:
+                listed = None if clean == mask else self._ids_in(clean, ids)
+                deliveries = len(ids) if listed is None else len(listed)
                 bulk = self.bulk_delivery
-                if bulk is not None and bulk(frame, delivered):
+                if bulk is not None and bulk(
+                    frame, ids if listed is None else np.array(listed)
+                ):
                     # The MACs' ``frames_received`` bumps, one per
-                    # receiver: at once for a few, else counted later in
-                    # one numpy pass.
-                    if n_clean < _LOG_FROM:
-                        mac_stats = self._mac_stats
-                        for host_id in delivered.tolist():
-                            mac_stats[host_id].frames_received += 1
-                    else:
-                        received = self._bulk_received
-                        received.append(delivered)
-                        if len(received) >= _FOLD_EVERY:
-                            self._fold_bulk_received()
+                    # receiver, counted in later.
+                    log = self._received_log
+                    log.append(clean)
+                    if len(log) >= _FOLD_EVERY:
+                        self._fold_logs()
                 else:
                     listeners_get = self._listeners.get
-                    for host_id in delivered.tolist():
+                    for host_id in ids.tolist() if listed is None else listed:
                         listener = listeners_get(host_id)
                         if listener is not None:
                             listener.on_frame_received(frame, sender_id)

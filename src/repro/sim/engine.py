@@ -153,16 +153,18 @@ class Scheduler:
         """How many times the heap has been compacted (husk reclamation)."""
         return self._compactions
 
-    def _note_cancelled(self) -> None:
-        """An event still in the queue was cancelled; maybe compact.
+    def _note_cancelled(self, count: int = 1) -> None:
+        """``count`` events still in the queue were cancelled; maybe
+        compact.  A caller that cancels many events at once (a MAC edge
+        marks its access events in place) reports them in one call.
 
         Compaction preserves ``(time, priority, seq)`` order exactly:
         dropping entries and re-heapifying cannot reorder the remaining
         events because ordering is a total order on those keys.
         """
-        cancelled = self._cancelled_in_queue + 1
+        cancelled = self._cancelled_in_queue + count
         self._cancelled_in_queue = cancelled
-        self._cancels += 1
+        self._cancels += count
         size = len(self._queue)
         if size >= self.COMPACT_MIN_SIZE and cancelled * 2 > size:
             self._compact()

@@ -1,11 +1,11 @@
 """The channel's edge subscription: which MACs get ``on_medium_state``.
 
-The channel records every carrier edge in its ``sensed_busy`` /
-``idle_since`` arrays and calls ``on_medium_state`` only on subscribed
-hosts.  A MAC unsubscribes only while it would ignore every edge: no
-access event, no backoff and no live queued frame.  These tests step
-whole networks one event at a time and check that contract after every
-event, and pin the carrier-state defaults the MAC reads from the arrays.
+The channel records every carrier edge in its ``sensed`` host bitset
+and ``idle_since`` array and hands edges only to subscribed hosts.  A
+MAC unsubscribes only while it would ignore every edge: no access
+event, no backoff and no live queued frame.  These tests step whole
+networks one event at a time and check that contract after every event,
+and pin the carrier-state defaults the MAC reads from the channel.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.sim.randomness import RandomStreams
 from tests.mac.test_csma import (
     AIRTIME_10B, DIFS, PARAMS, SLOT, FixedRandom, Upper, build,
 )
-from tests.phy.test_channel import static_store
+from tests.phy.test_channel import host_flags, static_store
 
 
 def make_network(scheme, num_hosts, map_units, seed, hello=None):
@@ -69,7 +69,7 @@ def schedule_broadcasts(scheduler, network, streams, count, start):
 
 def quiescence_violations(network):
     """Unsubscribed MACs that still have something to contend for."""
-    subscribed = network.channel.subscribed
+    subscribed = host_flags(network.channel.subscribed, len(network.hosts))
     bad = []
     for host in network.hosts:
         mac = host.mac
@@ -89,7 +89,6 @@ def step_and_check(scheduler, network, until):
     each; returns (events, host-events spent unsubscribed)."""
     events = 0
     unsubscribed = 0
-    subscribed = network.channel.subscribed
     while True:
         t = scheduler.peek_time()
         if t is None or t > until:
@@ -101,7 +100,9 @@ def step_and_check(scheduler, network, until):
             f"t={scheduler.now}: unsubscribed MACs {bad} have an access "
             f"event, a backoff or a queued frame"
         )
-        unsubscribed += len(network.hosts) - int(subscribed.sum())
+        unsubscribed += host_flags(
+            network.channel.subscribed, len(network.hosts)
+        ).count(False)
 
 
 def test_dense_flooding_keeps_the_contract():
@@ -194,11 +195,11 @@ def test_quiescent_mac_defers_to_backoff_when_sending_on_a_busy_medium():
     scheduler.schedule(1.0, macs[0].send, "a", 10)
     scheduler.run(until=1.0001)
     # Host 1 heard the busy edge with nothing to do and unsubscribed, but
-    # still senses the carrier through the channel's arrays.
-    assert not channel.subscribed[1]
-    assert channel.sensed_busy[1]
+    # still senses the carrier through the channel.
+    assert host_flags(channel.subscribed, 2) == [True, False]
+    assert host_flags(channel.sensed, 2) == [False, True]
     macs[1].send("b", 10)
-    assert channel.subscribed[1]
+    assert host_flags(channel.subscribed, 2) == [True, True]
     scheduler.run()
     expected_start = 1.0 + AIRTIME_10B + DIFS + 3 * SLOT
     assert uppers[0].received[0][0] == pytest.approx(
@@ -235,8 +236,8 @@ def test_restart_counts_the_medium_idle_since_the_restart_instant():
     scheduler.schedule_at(restart_at, macs[0].restart)
     scheduler.run()
     assert channel.idle_since[0] == restart_at
-    assert not channel.sensed_busy[0]
-    assert channel.subscribed[0]
+    assert not host_flags(channel.sensed, 2)[0]
+    assert host_flags(channel.subscribed, 2)[0]
     # Half a DIFS after the restart the medium has not been idle for a
     # full DIFS, so the frame goes through backoff.
     scheduler.schedule_at(restart_at + DIFS / 2, macs[0].send, "x", 10)

@@ -42,6 +42,11 @@ class StubRadio:
         self.corrupted.append((self._scheduler.now, frame, sender_id))
 
 
+def host_flags(bits, size):
+    """Per-host flags of one of the channel's host bitsets."""
+    return [bool(bits >> host_id & 1) for host_id in range(size)]
+
+
 def make_channel(positions, drop_predicate=None):
     """Channel with static hosts at ``positions`` (id = list index)."""
     scheduler = Scheduler()
@@ -300,7 +305,7 @@ def test_receivers_follow_attach_order_after_reattach():
 def test_stub_listener_gets_every_edge_and_the_arrays_follow():
     """A listener that never touches its subscription bit gets every busy
     and idle edge, through overlaps, an abort and a detach, and the
-    channel's carrier-sense arrays agree with the last edge it saw."""
+    channel's carrier-sense state agrees with the last edge it saw."""
     scheduler, channel, radios = make_channel(
         [(0, 0), (50, 0), (100, 0), (150, 0)]
     )
@@ -326,6 +331,6 @@ def test_stub_listener_gets_every_edge_and_the_arrays_follow():
     ]
     assert channel.stats.aborted_frames == 1
     # Host 2 detached mid-frame: its sensed state was reset.
-    assert channel.sensed_busy.tolist() == [False, False, False, False]
+    assert host_flags(channel.sensed, 4) == [False, False, False, False]
     assert channel.idle_since.tolist() == [0.006, 0.01, 0.0, 0.006]
-    assert channel.subscribed.tolist() == [True, True, False, True]
+    assert host_flags(channel.subscribed, 4) == [True, True, False, True]
