@@ -419,8 +419,9 @@ class Channel:
 
         Only listeners in ``_mac_stats`` reach the logs (any other forces
         the per-reception loop), and an entry outlives a detach.  A bump
-        goes to the host's listener as of the fold; a MAC re-attaches
-        itself (``restart``), so that is the MAC that heard the frame.
+        goes to the host's entry as of the fold; :meth:`attach` folds
+        before a different stats object takes a host's entry, so that is
+        the listener that heard the frame.
         """
         mac_stats = self._mac_stats
         if self._corrupted_log:
@@ -475,7 +476,10 @@ class Channel:
             and getattr(listener, "_notify_corrupt", True) is False
         ):
             # MAC that swallows corruption upcalls: its counter can be
-            # bumped in bulk from the corruption log at fold time.
+            # bumped in bulk from the corruption log at fold time.  The
+            # bumps logged so far belong to the entry's current owner.
+            if self._mac_stats.get(host_id, stats_obj) is not stats_obj:
+                self._fold_logs()
             self._mac_stats[host_id] = stats_obj
         else:
             self._any_notify = True

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.mac.csma import MacStats
 from repro.mobility.map import RectMap
 from repro.mobility.models import StaticMobility
 from repro.mobility.store import PositionStore
@@ -269,6 +270,43 @@ def test_airtime_accumulates_even_for_corrupted_receptions():
     scheduler.run()
     # Host 1 heard both frames (garbled), paying receive energy for both.
     assert channel.stats.rx_airtime[1] == pytest.approx(0.004)
+
+
+class LoggedRadio(StubRadio):
+    """A MAC-like radio that swallows corruption upcalls, so the channel
+    logs its ``frames_corrupted`` and bulk-delivered ``frames_received``
+    bumps and folds them into ``stats`` later."""
+
+    _notify_corrupt = False
+
+    def __init__(self):
+        super().__init__()
+        self.stats = MacStats()
+
+
+def test_logged_bumps_stay_with_the_listener_that_heard_them():
+    """A fresh listener attached after a detach does not inherit the
+    bumps logged for the one it replaced."""
+    scheduler = Scheduler()
+    channel = Channel(scheduler, PhyParams(radio_radius=100.0),
+                      static_store([(0, 0), (60, 0), (120, 0)]))
+    radios = [LoggedRadio().bind(scheduler) for _ in range(3)]
+    for host_id, radio in enumerate(radios):
+        channel.attach(host_id, radio)
+    channel.bulk_delivery = lambda frame, receiver_ids: True
+    # Host 1 hears "a" cleanly, then "b" and "c" collide at it (0 and 2
+    # are hidden from each other).
+    channel.start_transmission(0, "a", 0.001)
+    scheduler.schedule(0.002, channel.start_transmission, 0, "b", 0.002)
+    scheduler.schedule(0.003, channel.start_transmission, 2, "c", 0.002)
+    scheduler.run()
+    channel.detach(1)
+    fresh = LoggedRadio().bind(scheduler)
+    channel.attach(1, fresh)
+    channel.stats  # folds the logs
+    heard = radios[1].stats
+    assert (heard.frames_received, heard.frames_corrupted) == (1, 2)
+    assert (fresh.stats.frames_received, fresh.stats.frames_corrupted) == (0, 0)
 
 
 # ------------------------------------------------- attach order
