@@ -22,32 +22,12 @@ FULL = os.environ.get("REPRO_BENCH_FULL", "") == "1"
 N_BROADCASTS = 120 if FULL else 30
 SEED = 1
 
-#: Host counts for the scale sweep (``test_scale.py``), smallest first.
-#: ``REPRO_BENCH_HOSTS`` overrides as a comma-separated list -- CI smoke
-#: uses ``REPRO_BENCH_HOSTS=500`` to bound wall time.
-SCALE_HOSTS = tuple(
-    int(tok)
-    for tok in os.environ.get(
-        "REPRO_BENCH_HOSTS", "100,250,500,1000,2000"
-    ).split(",")
-    if tok.strip()
-)
-
-#: Timing repetitions (best-of) for the throughput benchmarks.
-BENCH_REPS = int(os.environ.get("REPRO_BENCH_REPS", "2") or "2")
-
 
 @pytest.fixture
 def bench_grid():
     """(maps, n_broadcasts) honoring REPRO_BENCH_FULL."""
     maps = (1, 3, 5, 7, 9, 11) if FULL else (1, 5, 9)
     return maps, N_BROADCASTS
-
-
-@pytest.fixture
-def scale_sweep():
-    """(host_counts, reps) honoring REPRO_BENCH_HOSTS / REPRO_BENCH_REPS."""
-    return SCALE_HOSTS, BENCH_REPS
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -37,11 +37,7 @@ Quickstart::
 """
 
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import (
-    SimulationResult,
-    run_broadcast_batch,
-    run_broadcast_simulation,
-)
+from repro.experiments.runner import SimulationResult, run_broadcast_simulation
 from repro.faults import FaultInjector, FaultPlan
 from repro.metrics.collector import BroadcastRecord, MetricsCollector
 from repro.schemes import (
@@ -59,7 +55,6 @@ __all__ = [
     "ScenarioConfig",
     "SimulationResult",
     "run_broadcast_simulation",
-    "run_broadcast_batch",
     "BroadcastRecord",
     "MetricsCollector",
     "FaultPlan",

@@ -1,9 +1,8 @@
-"""Campaign orchestration: resumable sweeps + a shared result service.
+"""Campaign orchestration: declarative, crash-resumable sweeps.
 
-The paper's conclusions come from large parameter sweeps (scheme x map x
-hosts x speed x seed); this package is the scale layer that runs them as
-**campaigns** -- declarative, deterministic, crash-resumable -- and
-serves the shared result store over HTTP:
+The paper's conclusions come from parameter sweeps (scheme x map x
+hosts x speed x seed); this package runs them as **campaigns** --
+declarative, deterministic and crash-resumable:
 
 - :mod:`repro.campaigns.spec` -- the TOML/JSON campaign spec.
 - :mod:`repro.campaigns.planner` -- deterministic expansion into runs
@@ -13,11 +12,8 @@ serves the shared result store over HTTP:
 - :mod:`repro.campaigns.queue` -- the work-queue executor (chunked
   through :class:`~repro.experiments.parallel.ParallelRunner`, resumes
   off the SHA-256 result cache with zero re-simulation).
-- :mod:`repro.campaigns.service` -- stdlib asyncio HTTP front end:
-  cached results served instantly, cold scenarios queued and dedup'd.
-- :mod:`repro.campaigns.client` -- blocking stdlib client.
 
-CLI: ``repro-manet campaign plan|run|status`` and ``repro-manet serve``.
+CLI: ``repro-manet campaign plan|run|status``.
 """
 
 from repro.campaigns.checkpoint import (
@@ -27,7 +23,6 @@ from repro.campaigns.checkpoint import (
     load_records,
     write_manifest,
 )
-from repro.campaigns.client import ServiceClient, ServiceError
 from repro.campaigns.planner import (
     CampaignPlan,
     PlannedRun,
@@ -40,11 +35,6 @@ from repro.campaigns.queue import (
     CampaignOutcome,
     campaign_results_payload,
     campaign_status,
-)
-from repro.campaigns.service import (
-    CampaignService,
-    ServiceHandle,
-    serve_in_background,
 )
 from repro.campaigns.spec import (
     GRID_AXES,
@@ -62,14 +52,10 @@ __all__ = [
     "CampaignMismatch",
     "CampaignOutcome",
     "CampaignPlan",
-    "CampaignService",
     "CampaignSpec",
     "CheckpointRecord",
     "CheckpointWriter",
     "PlannedRun",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceHandle",
     "SpecError",
     "axis_order",
     "campaign_results_payload",
@@ -78,7 +64,6 @@ __all__ = [
     "load_records",
     "load_spec",
     "plan_campaign",
-    "serve_in_background",
     "spec_from_dict",
     "write_manifest",
 ]

@@ -4,8 +4,8 @@ Two files live in a campaign directory:
 
 - ``manifest.json`` -- the campaign's identity and coarse state (spec,
   run table, completion counts, status).  Always written atomically
-  (tmp + ``os.replace``), so readers -- the HTTP service, ``campaign
-  status``, a resuming executor -- never observe a torn document.
+  (tmp + ``os.replace``), so readers -- ``campaign status``, a
+  resuming executor -- never observe a torn document.
 - ``progress.jsonl`` -- one appended line per finished run, flushed and
   fsync'd at checkpoint boundaries.  Append-only survives crashes by
   construction: the worst a SIGKILL can leave is one torn final line,
@@ -26,8 +26,6 @@ import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, TextIO, Union
-
-from repro.telemetry.registry import registry as telemetry_registry
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -90,24 +88,12 @@ class CheckpointWriter:
 
     def append(self, record: CheckpointRecord) -> None:
         self._handle().write(record.to_json() + "\n")
-        reg = telemetry_registry()
-        if reg is not None:
-            reg.counter(
-                "repro_checkpoint_appends_total",
-                "Run records appended to campaign checkpoints.",
-            ).inc()
 
     def flush(self) -> None:
         if self._fh is None:
             return
         self._fh.flush()
         os.fsync(self._fh.fileno())
-        reg = telemetry_registry()
-        if reg is not None:
-            reg.counter(
-                "repro_checkpoint_flushes_total",
-                "Durability points: checkpoint flush+fsync calls.",
-            ).inc()
 
     def close(self) -> None:
         if self._fh is not None:

@@ -28,7 +28,6 @@ byte-identical file to an uninterrupted one.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -48,7 +47,6 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.replication import MetricEstimate, aggregate
 from repro.experiments.runner import SimulationResult
-from repro.telemetry.registry import registry as telemetry_registry
 from repro.telemetry.resources import ResourceProfile
 
 __all__ = [
@@ -62,10 +60,6 @@ __all__ = [
 MANIFEST_NAME = "manifest.json"
 PROGRESS_NAME = "progress.jsonl"
 RESULTS_NAME = "results.json"
-
-#: Chunk latency buckets (seconds): chunks batch many runs, so they run
-#: well past the default per-request duration buckets.
-CHUNK_BUCKETS = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0)
 
 
 class CampaignMismatch(RuntimeError):
@@ -200,8 +194,8 @@ def campaign_results_payload(
 def campaign_status(directory: Union[str, Path]) -> Dict[str, Any]:
     """Manifest + live checkpoint progress for a campaign directory.
 
-    Used by ``repro-manet campaign status`` and the HTTP service; raises
-    ``FileNotFoundError`` when the directory holds no manifest.
+    Used by ``repro-manet campaign status``; raises ``FileNotFoundError``
+    when the directory holds no manifest.
     """
     directory = Path(directory)
     manifest = load_manifest(directory / MANIFEST_NAME)
@@ -263,13 +257,6 @@ class CampaignExecutor:
         )
 
     # ----------------------------------------------------------- helpers
-
-    @staticmethod
-    def _set_queue_depth(reg, remaining: int) -> None:
-        reg.gauge(
-            "repro_campaign_queue_depth",
-            "Planned runs not yet checkpointed in the current campaign.",
-        ).set(remaining)
 
     def _manifest(self, status: str, completed: int) -> Dict[str, Any]:
         plan = self.plan
@@ -342,23 +329,12 @@ class CampaignExecutor:
             manifest_path, self._manifest("running", len(recorded))
         )
 
-        reg = telemetry_registry()
-        if reg is not None:
-            if recorded:
-                reg.counter(
-                    "repro_campaign_resumes_total",
-                    "Campaign sessions that picked up an existing "
-                    "checkpoint rather than starting fresh.",
-                ).inc()
-            self._set_queue_depth(reg, plan.total - len(recorded))
-
         results: List[Optional[SimulationResult]] = [None] * plan.total
         interrupted = False
         with CheckpointWriter(self.directory / PROGRESS_NAME) as ckpt:
             try:
                 for lo in range(0, plan.total, self.checkpoint_every):
                     chunk = plan.runs[lo:lo + self.checkpoint_every]
-                    chunk_start = time.perf_counter()
                     try:
                         chunk_results = self.runner.run_many(
                             [r.config for r in chunk]
@@ -366,12 +342,6 @@ class CampaignExecutor:
                     except ExecutionInterrupted as exc:
                         chunk_results = exc.results
                         interrupted = True
-                    if reg is not None:
-                        reg.histogram(
-                            "repro_campaign_chunk_seconds",
-                            "Wall time per checkpoint chunk.",
-                            buckets=CHUNK_BUCKETS,
-                        ).observe(time.perf_counter() - chunk_start)
                     for planned, result in zip(chunk, chunk_results):
                         if result is None:
                             continue
@@ -386,8 +356,6 @@ class CampaignExecutor:
                     done = sum(
                         1 for r in recorded.values() if r.status == "done"
                     )
-                    if reg is not None:
-                        self._set_queue_depth(reg, plan.total - done)
                     write_manifest(
                         manifest_path,
                         self._manifest(

@@ -8,10 +8,9 @@ Subcommands::
     repro-manet sweep --schemes flooding counter --maps 1 5 9
     repro-manet schemes -v
     repro-manet campaign run sweep.toml --dir campaigns/ --jobs 4
-    repro-manet serve --port 8642 --cache-dir .repro-cache
     repro-manet cache stats --cache-dir .repro-cache
-    repro-manet bench record BENCH_kernel.json --history bench_history.jsonl
-    repro-manet bench check --history bench_history.jsonl --threshold 0.2
+    repro-manet bench record BENCH_parallel.json --history bench_history.jsonl
+    repro-manet bench check --history bench/history.jsonl --threshold 0.2
 
 ``run`` executes a single scenario and prints its summary line; ``figure``
 regenerates one of the paper's figures (fig01, fig02, fig05a-d, fig07,
@@ -25,10 +24,9 @@ and ``--cache-dir DIR`` to reuse finished runs across invocations;
 ``campaign plan|run|status`` expands a declarative sweep spec into a
 resumable, checkpointed campaign (SIGTERM/Ctrl-C mid-flight exits with
 code 3 and ``campaign run`` later resumes without re-simulating);
-``serve`` starts the async HTTP result service; ``cache`` inspects,
-prunes or clears the shared on-disk result cache; ``bench record|check``
-turns ``BENCH_*.json`` documents into a ``bench_history.jsonl``
-trajectory and gates CI on throughput regressions against its rolling
+``cache`` inspects, prunes or clears the shared on-disk result cache;
+``bench record|check`` turns ``BENCH_*.json`` documents into a history
+trajectory and gates on throughput regressions against its rolling
 baseline (see :mod:`repro.telemetry.bench`).
 """
 
@@ -197,21 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cstat_p.add_argument("directory", metavar="DIR")
 
-    serve_p = sub.add_parser(
-        "serve", help="start the async HTTP result service"
-    )
-    serve_p.add_argument("--host", default="127.0.0.1")
-    serve_p.add_argument("--port", type=int, default=8642,
-                         help="TCP port (0 = pick a free one)")
-    serve_p.add_argument("--cache-dir", metavar="DIR", default=".repro-cache",
-                         help="result cache served by GET /results/<digest>")
-    serve_p.add_argument("--campaigns", metavar="ROOT", default=None,
-                         help="directory of campaign dirs to expose under "
-                         "/campaigns")
-    serve_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="worker processes for queued runs "
-                         "(0 = one per CPU core)")
-
     cache_p = sub.add_parser(
         "cache", help="inspect / prune / clear the on-disk result cache"
     )
@@ -239,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         "record", help="append a BENCH_*.json snapshot to the history"
     )
     brec_p.add_argument("bench", metavar="BENCH_JSON",
-                        help="benchmark document (e.g. BENCH_kernel.json)")
+                        help="benchmark document (e.g. BENCH_parallel.json)")
     brec_p.add_argument("--history", metavar="PATH",
                         default="bench_history.jsonl",
                         help="history file to append to "
@@ -716,62 +699,6 @@ def _campaign_status_cmd(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_cmd(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.campaigns import CampaignService
-
-    if args.jobs < 0:
-        raise SystemExit(f"error: --jobs must be >= 0, got {args.jobs}")
-    service = CampaignService(
-        cache_dir=args.cache_dir,
-        campaign_root=args.campaigns,
-        max_workers=None if args.jobs == 0 else args.jobs,
-        host=args.host,
-        port=args.port,
-    )
-
-    async def main() -> None:
-        await service.start()
-        print(
-            f"serving on http://{service.host}:{service.port} "
-            f"(cache: {service.cache.directory}"
-            + (f", campaigns: {service.campaign_root}" if service.campaign_root
-               else "")
-            + ") -- Ctrl-C to stop",
-            flush=True,
-        )
-        assert service._server is not None
-        await service._server.serve_forever()
-
-    try:
-        asyncio.run(main())
-    except KeyboardInterrupt:
-        print("\nstopped")
-    return 0
-
-
-def _print_cache_hit_rate() -> None:
-    """Process-lifetime cache hit rate from the telemetry counters.
-
-    Meaningful when ``cache stats`` runs inside a process that has been
-    serving lookups (the HTTP service, a long notebook session); a fresh
-    CLI process has no lookups -- or disarmed telemetry -- and says so.
-    """
-    from repro.telemetry import counter_value, registry
-
-    hits = counter_value("repro_cache_lookups_total", outcome="hit")
-    misses = counter_value("repro_cache_lookups_total", outcome="miss")
-    lookups = hits + misses
-    if registry() is None or not lookups:
-        print(f"{'hit rate':<12} n/a (no lookups this process)")
-        return
-    print(
-        f"{'hit rate':<12} {hits / lookups:.1%} "
-        f"({int(hits)}/{int(lookups)} lookups since process start)"
-    )
-
-
 def _bench_cmd(args: argparse.Namespace) -> int:
     from repro.telemetry import bench
 
@@ -812,7 +739,6 @@ def _cache_cmd(args: argparse.Namespace) -> int:
         if stats.entries:
             print(f"{'oldest use':<12} {stats.oldest_age:.0f}s ago")
             print(f"{'newest use':<12} {stats.newest_age:.0f}s ago")
-        _print_cache_hit_rate()
         return 0
     if args.cache_command == "clear":
         print(f"removed {cache.clear()} entries")
@@ -847,8 +773,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _campaign_status_cmd(args)
     if args.command == "schemes":
         return _schemes_cmd(args)
-    if args.command == "serve":
-        return _serve_cmd(args)
     if args.command == "cache":
         return _cache_cmd(args)
     if args.command == "bench":

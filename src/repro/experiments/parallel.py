@@ -64,7 +64,6 @@ from repro.experiments.replication import (
 )
 from repro.experiments.runner import SimulationResult, run_broadcast_simulation
 from repro.perf import KernelPerf
-from repro.telemetry.registry import registry as telemetry_registry
 
 __all__ = [
     "RESULT_CACHE_VERSION",
@@ -186,20 +185,16 @@ class ResultCache:
             with path.open("rb") as fh:
                 result = pickle.load(fh)
         except FileNotFoundError:
-            self._note_lookup("miss")
             return None
         except Exception:
             # Unpickling can fail in arbitrary ways on a torn entry
             # (UnpicklingError, EOFError, AttributeError, ImportError,
             # UnicodeDecodeError, ...): drop it and recompute.
             self._discard(path)
-            self._note_lookup("miss")
             return None
         if not isinstance(result, SimulationResult):
             self._discard(path)
-            self._note_lookup("miss")
             return None
-        self._note_lookup("hit")
         # Mark the entry recently-used so prune(max_bytes=...) evicts cold
         # digests first (mtime is the LRU clock).
         try:
@@ -208,17 +203,6 @@ class ResultCache:
             pass
         result.from_cache = True
         return result
-
-    @staticmethod
-    def _note_lookup(outcome: str) -> None:
-        """Telemetry: one cache lookup by outcome (no-op when disarmed)."""
-        reg = telemetry_registry()
-        if reg is not None:
-            reg.counter(
-                "repro_cache_lookups_total",
-                "Result-cache lookups since process start, by outcome.",
-                ("outcome",),
-            ).labels(outcome).inc()
 
     @staticmethod
     def _discard(path: Path) -> None:
@@ -241,12 +225,6 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        reg = telemetry_registry()
-        if reg is not None:
-            reg.counter(
-                "repro_cache_writes_total",
-                "Result-cache entries written since process start.",
-            ).inc()
 
     def __len__(self) -> int:
         return sum(1 for _ in self._dir.glob("*.pkl"))
@@ -326,12 +304,6 @@ class ResultCache:
                 else:
                     survivors.append(entry)
             kept = survivors
-        reg = telemetry_registry()
-        if reg is not None and removed:
-            reg.counter(
-                "repro_cache_evictions_total",
-                "Result-cache entries evicted by prune since process start.",
-            ).inc(removed)
         return PruneReport(
             removed=removed,
             freed_bytes=freed,
@@ -473,13 +445,6 @@ class ParallelRunner:
         results: List[Optional[SimulationResult]] = [None] * len(configs)
         digests: List[Optional[str]] = [None] * len(configs)
 
-        reg = telemetry_registry()
-        if reg is not None and configs:
-            reg.counter(
-                "repro_runner_runs_started_total",
-                "Runs submitted to the parallel runner since process start.",
-            ).inc(len(configs))
-
         to_run: List[int] = []
         for i, config in enumerate(configs):
             digest = None
@@ -493,7 +458,6 @@ class ParallelRunner:
             if cached is not None:
                 results[i] = cached
                 self.perf.cache_hits += 1
-                self._note_completed(reg, cached)
             else:
                 to_run.append(i)
 
@@ -508,7 +472,6 @@ class ParallelRunner:
                 self.perf.events += result.events_processed
                 self.perf.sim_wall_time += result.wall_time
                 self.perf.note_kernel(result.perf)
-                self._note_completed(reg, result)
                 if self.cache is not None and digests[i] is not None:
                     self.cache.put(digests[i], result)
         except KeyboardInterrupt:
@@ -518,33 +481,11 @@ class ParallelRunner:
             executing.close()
             self.perf.runs += sum(1 for r in results if r is not None)
             self.perf.wall_time += time.perf_counter() - start
-            if reg is not None:
-                reg.counter(
-                    "repro_runner_interrupts_total",
-                    "Batches interrupted (Ctrl-C / SIGTERM) mid-flight.",
-                ).inc()
             raise ExecutionInterrupted(results) from None
 
         self.perf.runs += len(configs)
         self.perf.wall_time += time.perf_counter() - start
         return results  # type: ignore[return-value]
-
-    @staticmethod
-    def _note_completed(reg, result: SimulationResult) -> None:
-        """Telemetry: one run finished, by source (no-op when disarmed)."""
-        if reg is None:
-            return
-        source = "cache" if result.from_cache else "sim"
-        reg.counter(
-            "repro_runner_runs_completed_total",
-            "Runs completed since process start, by result source.",
-            ("source",),
-        ).labels(source).inc()
-        if not result.from_cache:
-            reg.histogram(
-                "repro_runner_run_wall_seconds",
-                "Per-run simulation wall time (cache hits excluded).",
-            ).observe(result.wall_time)
 
     def _execute(
         self, configs: List[ScenarioConfig]

@@ -18,7 +18,6 @@ from repro.metrics.collector import (
     SimulationSummary,
 )
 from repro.mobility.map import RectMap
-from repro.mobility.store import PositionBuffers
 from repro.net.network import Network
 from repro.perf import KernelPerf
 from repro.phy.channel import ChannelStats
@@ -30,7 +29,6 @@ from repro.telemetry.resources import ResourceMonitor, ResourceProfile
 __all__ = [
     "SimulationResult",
     "run_broadcast_simulation",
-    "run_broadcast_batch",
     "run_sweep",
 ]
 
@@ -118,7 +116,6 @@ def run_broadcast_simulation(
     config: ScenarioConfig,
     network_hook: Optional[Callable[[Network], None]] = None,
     trace: Optional["TraceRecorder"] = None,
-    position_buffers: Optional[PositionBuffers] = None,
 ) -> SimulationResult:
     """Build the world from ``config``, drive traffic, and summarize.
 
@@ -131,10 +128,6 @@ def run_broadcast_simulation(
     recorder's ``sample_dt`` set, the time-series sampler runs too.  Tracing
     is not part of :class:`ScenarioConfig` on purpose: it never changes
     results, so cached-result digests stay comparable traced or not.
-
-    ``position_buffers`` lets a batch driver share the position store's
-    numpy allocations across runs.  Like tracing, it is not part of
-    :class:`ScenarioConfig`: it never changes results.
 
     Broadcast sources are picked uniformly at random per request and the
     interarrival time is uniform in [0, ``interarrival_max``], per the
@@ -165,7 +158,6 @@ def run_broadcast_simulation(
         oracle_neighbors=config.oracle_neighbors,
         capture=config.capture,
         trace=trace,
-        position_buffers=position_buffers,
     )
     if trace is not None:
         trace.meta.update(
@@ -252,33 +244,5 @@ def run_sweep(
         result = run_broadcast_simulation(config)
         if progress is not None:
             progress(config, result)
-        results.append(result)
-    return results
-
-
-def run_broadcast_batch(
-    config: ScenarioConfig,
-    seeds: Iterable[int],
-    progress: Optional[Callable[[ScenarioConfig, SimulationResult], None]] = None,
-) -> List[SimulationResult]:
-    """Run ``config`` once per seed in this process, sharing world setup.
-
-    The multi-broadcast batch mode for replication sweeps: one process,
-    many seeds, one set of position-store numpy allocations
-    (:class:`repro.mobility.store.PositionBuffers`) reused across the
-    world builds instead of reallocated per seed.  Each run is otherwise
-    the full :func:`run_broadcast_simulation` pipeline with its own
-    scheduler, RNG streams and network, so every result is bit-identical
-    to running that seed solo.
-    """
-    from dataclasses import replace
-
-    buffers = PositionBuffers(config.num_hosts)
-    results = []
-    for seed in seeds:
-        seeded = config if seed == config.seed else replace(config, seed=seed)
-        result = run_broadcast_simulation(seeded, position_buffers=buffers)
-        if progress is not None:
-            progress(seeded, result)
         results.append(result)
     return results

@@ -17,7 +17,7 @@ from repro.mobility.models import (
     StaticMobility,
     make_mobility,
 )
-from repro.mobility.store import PositionBuffers, PositionStore
+from repro.mobility.store import PositionStore
 
 __all__ = [
     "RectMap",
@@ -26,7 +26,6 @@ __all__ = [
     "RandomWaypointMobility",
     "StaticMobility",
     "make_mobility",
-    "PositionBuffers",
     "PositionStore",
 ]
 

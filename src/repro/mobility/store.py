@@ -46,63 +46,18 @@ is only safe because of the :class:`~repro.mobility.models.MobilityModel`
 contract: a position depends only on ``t`` and the model's own state,
 with no RNG shared across hosts, so when a model is evaluated never
 changes what it returns.
-
-Buffer reuse
-------------
-``PositionBuffers`` lets a batch driver (many seeds, one process -- see
-:func:`repro.experiments.runner.run_broadcast_batch`) reuse the numpy
-allocations across world builds instead of reallocating five arrays per
-seed.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.mobility.map import RectMap
 from repro.mobility.models import MobilityModel, StaticMobility, _SegmentedMobility
 
-__all__ = ["PositionBuffers", "PositionStore"]
-
-
-class PositionBuffers:
-    """Reusable numpy allocations for :class:`PositionStore`.
-
-    Grows monotonically to the largest host count seen; a store for
-    ``n <= capacity`` hosts takes contiguous views out of the shared
-    arrays.
-    """
-
-    __slots__ = ("capacity", "_arrays")
-
-    #: Per-store array fields, in allocation order, with their row counts:
-    #: origin, velocity and position hold an x row and a y row.
-    FIELDS = (("origin", 2), ("velocity", 2), ("t0", 2), ("t1", 1), ("xy", 2))
-
-    def __init__(self, capacity: int = 0) -> None:
-        self.capacity = 0
-        self._arrays: List[np.ndarray] = []
-        if capacity:
-            self.reserve(capacity)
-
-    def reserve(self, capacity: int) -> None:
-        if capacity > self.capacity:
-            self._arrays = [
-                np.empty(rows * capacity, dtype=np.float64)
-                for _, rows in self.FIELDS
-            ]
-            self.capacity = capacity
-
-    def views(self, n: int) -> List[np.ndarray]:
-        """Contiguous views for ``n`` hosts over the shared buffers (grown
-        as needed): ``(2, n)`` for two-row fields, ``(n,)`` otherwise."""
-        self.reserve(n)
-        return [
-            arr[:n] if rows == 1 else arr[:rows * n].reshape(rows, n)
-            for arr, (_, rows) in zip(self._arrays, self.FIELDS)
-        ]
+__all__ = ["PositionStore"]
 
 
 class PositionStore:
@@ -123,7 +78,6 @@ class PositionStore:
         self,
         models: Sequence[MobilityModel],
         world: RectMap,
-        buffers: Optional[PositionBuffers] = None,
     ) -> None:
         self.size = len(models)
         self._models = list(models)
@@ -141,11 +95,15 @@ class PositionStore:
         self._flags = np.zeros((2, self.size), dtype=bool)
         #: Scratch for the fold's mirror mask.
         self._flip = np.empty((2, self.size), dtype=bool)
-        arrays = (buffers or PositionBuffers()).views(self.size)
-        self._origin, self._velocity, self._t0, self._t1, xy = arrays
+        #: The current motion segment of every host: origin and velocity
+        #: (row 0 x, row 1 y), start time (in both rows) and end time.
+        self._origin = np.empty((2, self.size))
+        self._velocity = np.empty((2, self.size))
+        self._t0 = np.empty((2, self.size))
+        self._t1 = np.empty(self.size)
         #: All host positions at the current epoch: row 0 x, row 1 y.
         #: Rewritten in place by :meth:`arrays_at`, never reallocated.
-        self.xy = xy
+        self.xy = xy = np.empty((2, self.size))
         self._x = xy[0]
         self._y = xy[1]
         #: ``(row, model)`` for models that are not built in, overwritten

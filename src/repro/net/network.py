@@ -11,7 +11,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.metrics.connectivity import reachable_rows
 from repro.mobility.map import RectMap
 from repro.mobility.models import MobilityModel, make_mobility
-from repro.mobility.store import PositionBuffers, PositionStore
+from repro.mobility.store import PositionStore
 from repro.net.host import HelloConfig, MobileHost
 from repro.net.neighbors import NeighborStore
 from repro.net.packets import BroadcastPacket, HelloPacket
@@ -51,7 +51,6 @@ class Network:
         mobility_factory: Optional[Callable[[int], "MobilityModel"]] = None,
         capture: Optional["CaptureModel"] = None,
         trace: Optional[Any] = None,
-        position_buffers: Optional[PositionBuffers] = None,
     ) -> None:
         if num_hosts < 1:
             raise ValueError(f"need at least one host, got {num_hosts}")
@@ -83,9 +82,7 @@ class Network:
                 )
 
         #: Every host's position, batched per instant.
-        self.position_store = PositionStore(
-            models, world, buffers=position_buffers
-        )
+        self.position_store = PositionStore(models, world)
         self.channel = Channel(
             scheduler, params, self.position_store, drop_predicate,
             capture=capture, trace=trace,

@@ -1,17 +1,19 @@
 """Benchmark trajectory tracking: ``bench record`` / ``bench check``.
 
-The repo pins one-off benchmark documents (``BENCH_kernel.json``,
-``BENCH_scale.json``, ``BENCH_scheme_zoo.json``) but until now nothing
-compared them *across* runs -- a perf PR was judged by a single
-measurement.  This module turns those documents into a trajectory:
+Benchmark documents (``BENCH_parallel.json``, ``BENCH_scheme_zoo.json``,
+the paper suite's ``bench/run.py --out``) are one-off measurements; a
+single measurement cannot show a regression.  This module turns those
+documents into a trajectory:
 
 - :func:`record_entry` flattens a ``BENCH_*.json`` into numeric metrics
   and appends one timestamped line to ``bench_history.jsonl``.
+  ``bench/run.py --history`` appends the paper suite's runs to
+  ``bench/history.jsonl`` in the same line format.
 - :func:`check_history` diffs the newest entry against a rolling
   baseline (the median of the previous ``window`` entries, per metric)
   and reports any higher-is-better metric that fell more than
   ``threshold`` below it.  The CLI maps regressions to a non-zero exit,
-  which is what makes it a CI gate.
+  which is what makes it a gate.
 
 Only metrics whose dotted path matches a higher-is-better pattern
 (default: ``events_per_sec``, ``speedup``) are *gated* -- wall times and
@@ -21,8 +23,8 @@ perf, with their own golden tests).
 
 History line schema (one JSON object per line)::
 
-    {"v": 1, "ts": "2026-08-08T12:00:00+00:00", "bench": "kernel",
-     "source": "BENCH_kernel.json", "platform": {...},
+    {"v": 1, "ts": "2026-08-08T12:00:00+00:00", "bench": "parallel",
+     "source": "BENCH_parallel.json", "platform": {...},
      "metrics": {"events_per_sec": 36479.8, "speedup": 2.24, ...}}
 """
 
@@ -63,7 +65,7 @@ _BENCH_FILE = re.compile(r"^BENCH_(?P<name>[A-Za-z0-9_-]+)\.json$")
 
 
 def infer_bench_name(path: PathLike) -> str:
-    """``BENCH_kernel.json`` -> ``"kernel"`` (else the bare stem)."""
+    """``BENCH_parallel.json`` -> ``"parallel"`` (else the bare stem)."""
     name = Path(path).name
     match = _BENCH_FILE.match(name)
     if match:

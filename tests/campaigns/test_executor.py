@@ -27,6 +27,12 @@ def tiny_spec(**overrides):
     return spec_from_dict(base)
 
 
+def tiny_plan():
+    return plan_campaign(
+        tiny_spec(grid={"scheme": ["flooding"], "seed": [1, 2, 3, 4]})
+    )
+
+
 def make_executor(tmp_path, plan, **kwargs):
     kwargs.setdefault("max_workers", 1)
     kwargs.setdefault("checkpoint_every", 2)
@@ -185,3 +191,24 @@ def test_payload_lists_missing_runs(tmp_path):
     payload = campaign_results_payload(plan, results)
     assert payload["missing"] == ["run-00001"]
     assert payload["completed_runs"] == 2
+
+
+def test_campaign_resources_block_is_opt_in(tmp_path):
+    import json
+
+    plan = tiny_plan()
+    executor = CampaignExecutor(
+        plan, tmp_path / "camp", max_workers=1, include_resources=True
+    )
+    executor.run()
+    payload = json.loads((tmp_path / "camp" / "results.json").read_text())
+    block = payload["resources"]
+    assert block["runs_sampled"] == 4
+    assert block["peak_rss_bytes"] > 0
+    assert block["wall_time"] > 0
+
+    # default (opt-out) payload stays free of host-machine noise
+    executor2 = CampaignExecutor(plan, tmp_path / "camp2", max_workers=1)
+    executor2.run()
+    payload2 = json.loads((tmp_path / "camp2" / "results.json").read_text())
+    assert "resources" not in payload2

@@ -389,33 +389,6 @@ def test_bench_record_missing_file_exits(tmp_path):
         ])
 
 
-def test_cache_stats_hit_rate_line(capsys, tmp_path, spec_path):
-    from repro.telemetry.registry import MetricsRegistry, arm, disarm, registry
-
-    cache_dir = tmp_path / "cache"
-    run_args = [
-        "campaign", "run", str(spec_path),
-        "--dir", str(tmp_path / "camp"), "--jobs", "1", "--quiet",
-        "--cache-dir", str(cache_dir),
-    ]
-    previous = registry()
-    try:
-        disarm()
-        main(run_args)
-        capsys.readouterr()
-        assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
-        assert "hit rate     n/a (no lookups" in capsys.readouterr().out
-
-        arm(MetricsRegistry())
-        main(run_args)  # warm: both runs come back as hits
-        capsys.readouterr()
-        assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "hit rate     100.0% (2/2 lookups since process start)" in out
-    finally:
-        arm(previous) if previous is not None else disarm()
-
-
 def test_campaign_run_resources_flag(capsys, tmp_path, spec_path):
     import json
 

@@ -235,6 +235,33 @@ def test_perf_counters_accumulate():
     assert perf.as_dict()["runs"] == 2
 
 
+TINY = ScenarioConfig(
+    scheme="flooding", map_units=1, num_hosts=12, num_broadcasts=3, seed=1
+)
+
+
+def test_runner_perf_events_per_sec_excludes_cached_runs(tmp_path):
+    """Regression pin: cache hits must not count into events/sec.
+
+    A cached result's wall_time is the *original* run's measurement; if
+    a warm runner folded those into its throughput aggregate, events/sec
+    would report simulation speed it never achieved.
+    """
+    cold = ParallelRunner(max_workers=1, cache_dir=tmp_path / "cache")
+    cold.run_many([TINY])
+    assert cold.perf.simulated == 1
+    assert cold.perf.events > 0
+
+    warm = ParallelRunner(max_workers=1, cache_dir=tmp_path / "cache")
+    results = warm.run_many([TINY])
+    assert results[0].from_cache
+    assert warm.perf.cache_hits == 1
+    assert warm.perf.simulated == 0
+    assert warm.perf.events == 0
+    assert warm.perf.sim_wall_time == 0.0
+    assert warm.perf.events_per_sec == 0.0
+
+
 def test_runner_perf_aggregates_kernel_counters(tmp_path):
     """Simulated runs fold their KernelPerf into the runner aggregate;
     cache hits do not double-count."""

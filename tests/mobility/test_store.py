@@ -16,7 +16,7 @@ from repro.mobility.models import (
     StaticMobility,
     _SegmentedMobility,
 )
-from repro.mobility.store import PositionBuffers, PositionStore
+from repro.mobility.store import PositionStore
 
 
 def make_models(world, n, seed=1, speed_kmh=60.0):
@@ -143,39 +143,6 @@ def test_custom_models_are_reevaluated_each_epoch():
     # A single-host read at a fresh instant evaluates the row too.
     assert store.position_of(3, 3.0) == (4.0, 700.0)
     assert drift.queries == [0.0, 0.5, 2.0, 3.0]
-
-
-def test_buffers_are_reused_across_stores():
-    world = RectMap(500.0, 500.0)
-    buffers = PositionBuffers(16)
-    assert buffers.capacity == 16
-    first = PositionStore(make_models(world, 10), world, buffers=buffers)
-    base = buffers._arrays[0]
-    # Smaller store: same allocations, sliced views.
-    second = PositionStore(make_models(world, 8), world, buffers=buffers)
-    assert buffers.capacity == 16
-    assert buffers._arrays[0] is base
-    assert second.size == 8
-    # Larger store grows the buffers.
-    third = PositionStore(make_models(world, 32), world, buffers=buffers)
-    assert buffers.capacity == 32
-    assert third.size == 32
-    xs, ys = third.arrays_at(1.0)
-    assert xs.shape == (32,)
-
-
-def test_buffer_reuse_does_not_leak_state_between_stores():
-    """A fresh store over reused buffers replays its models exactly even
-    though the arrays still hold the previous store's values."""
-    world = RectMap(600.0, 600.0)
-    buffers = PositionBuffers()
-    first = PositionStore(make_models(world, 6, seed=1), world, buffers=buffers)
-    first.arrays_at(77.7)
-    reused_fleet, scalar_fleet = twin_fleets(world, 6, seed=2)
-    reused = PositionStore(reused_fleet, world, buffers=buffers)
-    xs, ys = reused.arrays_at(3.0)
-    for i, model in enumerate(scalar_fleet):
-        assert (float(xs[i]), float(ys[i])) == model.position(3.0)
 
 
 def test_arrays_are_float64_views():

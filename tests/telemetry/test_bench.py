@@ -168,14 +168,18 @@ class TestCheck:
 
 
 def test_repo_bench_documents_flatten_to_gated_metrics():
-    """The committed BENCH_*.json files must keep yielding gated metrics,
-    otherwise the CI bench gate silently checks nothing."""
+    """Every entry of the committed ``bench/history.jsonl`` must carry a
+    gated ``events_per_sec`` metric for each benchmark workload,
+    otherwise ``bench check`` over it silently checks nothing."""
     from pathlib import Path
 
     repo = Path(__file__).resolve().parents[2]
-    for name in ("BENCH_kernel.json", "BENCH_scale.json"):
-        doc = json.loads((repo / name).read_text())
-        flat = flatten_metrics(doc)
-        assert any(
-            "events_per_sec" in k or "speedup" in k for k in flat
-        ), name
+    benchmark = json.loads((repo / "BENCHMARK.json").read_text())
+    gated = {f"{w['name']}.events_per_sec" for w in benchmark["workloads"]}
+    history = repo / "bench" / "history.jsonl"
+    entries = load_history(history)
+    assert len(entries) >= 2
+    for entry in entries:
+        assert gated <= set(entry["metrics"]), entry["ts"]
+    report = check_history(history)
+    assert gated <= {v.metric for v in report.verdicts}

@@ -61,8 +61,8 @@ def test_position_memo_is_effective(result):
 
 
 def dense_microbench_config():
-    """The BENCH_kernel.json scenario at golden-suite size: flooding on
-    one unit square, the densest position-query pattern."""
+    """The golden suite's ``flooding-dense`` scenario: flooding on one
+    unit square, the densest position-query pattern."""
     return ScenarioConfig(
         scheme="flooding", map_units=1, num_hosts=100, num_broadcasts=12,
         seed=7,

@@ -45,9 +45,7 @@ def test_all_subpackages_importable():
         "repro.experiments.topologies",
         "repro.campaigns.spec", "repro.campaigns.planner",
         "repro.campaigns.checkpoint", "repro.campaigns.queue",
-        "repro.campaigns.service", "repro.campaigns.client",
-        "repro.telemetry", "repro.telemetry.registry",
-        "repro.telemetry.expose", "repro.telemetry.resources",
+        "repro.telemetry", "repro.telemetry.resources",
         "repro.telemetry.bench",
     ):
         importlib.import_module(module)
