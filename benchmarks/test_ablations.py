@@ -156,8 +156,8 @@ def test_scheme_jitter_reduces_collisions(benchmark):
         )
         # Swap the registry entry for the no-jitter variant.
         original = schemes.SCHEME_REGISTRY["counter"]
-        schemes.SCHEME_REGISTRY["counter"] = (
-            lambda threshold=3: NoJitterCounter(threshold=threshold)
+        schemes.SCHEME_REGISTRY["counter"] = original.with_factory(
+            NoJitterCounter
         )
         try:
             nojitter = run_broadcast_simulation(

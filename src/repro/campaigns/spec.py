@@ -160,11 +160,6 @@ class CampaignSpec:
                     )
             for key, values in axis_params.items():
                 param = spec.param(key)
-                if not param.sweepable:
-                    raise SpecError(
-                        f"scheme_params.{key} of scheme {scheme!r} takes a "
-                        "function object and cannot be swept from a spec"
-                    )
                 for value in values:
                     error = param.validate(value)
                     if error is not None:

@@ -280,9 +280,12 @@ def _parse_scheme_params(scheme: str, pairs) -> dict:
             params[key] = spec.param(key).coerce(text)
         except ValueError as exc:
             raise SystemExit(f"error: --scheme-param {pair!r}: {exc}")
-    errors = spec.validate_params(params)
-    if errors:
-        raise SystemExit(f"error: scheme {scheme!r}: " + "; ".join(errors))
+    try:
+        # Building one instance runs the schema and the constructor's own
+        # checks (n1 < n2, a well-formed sequence) before any simulation.
+        spec.build(**params)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
     return params
 
 

@@ -12,7 +12,7 @@ Four panels, reproducing the paper's tuning methodology (Section 4.1):
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Dict, Sequence
 
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures.common import (
@@ -24,19 +24,17 @@ from repro.schemes.thresholds import (
     FIG5A_SEQUENCES,
     FIG5B_SEQUENCES,
     MIDCURVE_SHAPES,
-    counter_sequence,
-    make_counter_threshold,
 )
 
 __all__ = ["run_5a", "run_5b", "run_5c", "run_5d"]
 
 
 def _ac_config(
-    threshold_fn, map_units: int, num_broadcasts: int, seed: int
+    params: Dict[str, Any], map_units: int, num_broadcasts: int, seed: int
 ) -> ScenarioConfig:
     return ScenarioConfig(
         scheme="adaptive-counter",
-        scheme_params={"threshold_fn": threshold_fn},
+        scheme_params=params,
         map_units=map_units,
         num_broadcasts=num_broadcasts,
         seed=seed,
@@ -49,11 +47,10 @@ def run_5a(
     """Slope candidates (Fig. 5a)."""
     entries = []
     for name, seq in FIG5A_SEQUENCES.items():
-        fn = counter_sequence(seq, name=name)
+        params = {"sequence": "-".join(map(str, seq))}
         for units in maps:
-            entries.append(
-                (name, units, _ac_config(fn, units, num_broadcasts, seed))
-            )
+            config = _ac_config(params, units, num_broadcasts, seed)
+            entries.append((name, units, config))
     return run_series_points(
         FigureResult("Fig. 5a: C(n) slope before n1", "map"), entries
     )
@@ -65,11 +62,10 @@ def run_5b(
     """Cap point n1 candidates (Fig. 5b)."""
     entries = []
     for n1, seq in FIG5B_SEQUENCES.items():
-        fn = counter_sequence(seq, name=f"n1={n1}")
+        params = {"sequence": "-".join(map(str, seq))}
         for units in maps:
-            entries.append(
-                (f"n1={n1}", units, _ac_config(fn, units, num_broadcasts, seed))
-            )
+            config = _ac_config(params, units, num_broadcasts, seed)
+            entries.append((f"n1={n1}", units, config))
     return run_series_points(
         FigureResult("Fig. 5b: C(n) cap point n1", "map"), entries
     )
@@ -84,11 +80,10 @@ def run_5c(
     """Floor point n2 candidates with linear decrease, n1 fixed at 4 (Fig. 5c)."""
     entries = []
     for n2 in n2_values:
-        fn = make_counter_threshold(n1=4, n2=n2, shape="linear")
+        params = {"n1": 4, "n2": n2, "shape": "linear"}
         for units in maps:
-            entries.append(
-                (f"n2={n2}", units, _ac_config(fn, units, num_broadcasts, seed))
-            )
+            config = _ac_config(params, units, num_broadcasts, seed)
+            entries.append((f"n2={n2}", units, config))
     return run_series_points(
         FigureResult("Fig. 5c: C(n) floor point n2", "map"), entries
     )
@@ -100,11 +95,10 @@ def run_5d(
     """Mid-curve shapes between n1=4 and n2=12 (Fig. 5d / Fig. 6)."""
     entries = []
     for shape in MIDCURVE_SHAPES:
-        fn = make_counter_threshold(n1=4, n2=12, shape=shape)
+        params = {"n1": 4, "n2": 12, "shape": shape}
         for units in maps:
-            entries.append(
-                (shape, units, _ac_config(fn, units, num_broadcasts, seed))
-            )
+            config = _ac_config(params, units, num_broadcasts, seed)
+            entries.append((shape, units, config))
     return run_series_points(
         FigureResult("Fig. 5d: C(n) mid-curve shape", "map"), entries
     )

@@ -15,7 +15,6 @@ from repro.experiments.figures.common import (
     FigureResult,
     run_series_points,
 )
-from repro.schemes.thresholds import make_location_threshold
 
 __all__ = ["run", "CANDIDATE_PAIRS"]
 
@@ -37,11 +36,10 @@ def run(
 ) -> FigureResult:
     entries = []
     for n1, n2 in pairs:
-        fn = make_location_threshold(n1=n1, n2=n2)
         for units in maps:
             config = ScenarioConfig(
                 scheme="adaptive-location",
-                scheme_params={"threshold_fn": fn},
+                scheme_params={"n1": n1, "n2": n2},
                 map_units=units,
                 num_broadcasts=num_broadcasts,
                 seed=seed,

@@ -76,10 +76,7 @@ def result_to_dict(result: SimulationResult) -> Dict[str, Any]:
     return {
         "config": {
             "scheme": config.scheme,
-            "scheme_params": {
-                k: v for k, v in config.scheme_params.items()
-                if isinstance(v, (int, float, str, bool))
-            },
+            "scheme_params": dict(config.scheme_params),
             "map_units": config.map_units,
             "num_hosts": config.num_hosts,
             "num_broadcasts": config.num_broadcasts,

@@ -16,9 +16,6 @@ Guarantees
   (:data:`RESULT_CACHE_VERSION` and the package version), so stale caches
   cannot survive a semantics change -- bump the tag when simulation
   behavior changes.
-- **Graceful fallback**: configs that cannot be pickled or digested (e.g.
-  a ``threshold_fn`` callable in ``scheme_params``) run inline in the
-  parent process and skip the cache; everything else parallelizes.
 - **Graceful interrupt**: a ``KeyboardInterrupt`` (Ctrl-C / SIGTERM
   translated by the CLI) no longer tears the pool down mid-write.
   Completed results are already in the cache; pending work is cancelled
@@ -67,7 +64,6 @@ from repro.perf import KernelPerf
 
 __all__ = [
     "RESULT_CACHE_VERSION",
-    "CacheKeyError",
     "CacheStats",
     "ExecutionInterrupted",
     "PruneReport",
@@ -80,11 +76,6 @@ __all__ = [
 #: Bump when simulation semantics change in a way that invalidates cached
 #: results (new RNG consumption order, metric definition changes, ...).
 RESULT_CACHE_VERSION = "1"
-
-
-class CacheKeyError(ValueError):
-    """The config contains values with no stable serial form (callables,
-    exotic objects) and therefore cannot be cached."""
 
 
 class ExecutionInterrupted(KeyboardInterrupt):
@@ -110,7 +101,7 @@ def _canonical(value: Any) -> Any:
 
     Dataclasses become ``[type-name, sorted field pairs]``, tuples become
     lists, frozensets sorted lists.  Anything without an obvious stable
-    form (functions, arbitrary objects) raises :class:`CacheKeyError`.
+    form (functions, arbitrary objects) raises ``ValueError``.
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
@@ -126,13 +117,13 @@ def _canonical(value: Any) -> Any:
         try:
             items = sorted(value.items())
         except TypeError as exc:
-            raise CacheKeyError(f"unorderable dict keys in {value!r}") from exc
+            raise ValueError(f"unorderable dict keys in {value!r}") from exc
         return {"__dict__": [[str(k), _canonical(v)] for k, v in items]}
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]
     if isinstance(value, (set, frozenset)):
         return {"__set__": sorted(_canonical(v) for v in value)}
-    raise CacheKeyError(
+    raise ValueError(
         f"cannot build a stable cache key from {type(value).__name__}: "
         f"{value!r}"
     )
@@ -141,13 +132,11 @@ def _canonical(value: Any) -> Any:
 def config_digest(config: ScenarioConfig) -> str:
     """Stable hex digest identifying a scenario *and* the code version.
 
-    Raises :class:`CacheKeyError` when the config holds uncacheable values
-    (e.g. callables in ``scheme_params``).
+    Raises ``ValueError`` when the config holds a value with no stable
+    serial form (e.g. a function object in ``scheme_params``).
     """
-    try:
-        from repro import __version__ as package_version
-    except ImportError:  # pragma: no cover - package always has a version
-        package_version = "unknown"
+    from repro import __version__ as package_version
+
     payload = {
         "cache_version": RESULT_CACHE_VERSION,
         "package_version": package_version,
@@ -331,15 +320,6 @@ class CacheStats:
     oldest_age: float  # seconds since the least recently used entry
     newest_age: float  # seconds since the most recently used entry
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "directory": str(self.directory),
-            "entries": self.entries,
-            "total_bytes": self.total_bytes,
-            "oldest_age": self.oldest_age,
-            "newest_age": self.newest_age,
-        }
-
 
 @dataclass(frozen=True)
 class PruneReport:
@@ -358,7 +338,6 @@ class RunnerPerf:
     runs: int = 0  # results returned (simulated + cached)
     simulated: int = 0
     cache_hits: int = 0
-    uncacheable: int = 0  # configs that could not be digested
     wall_time: float = 0.0  # parent-side wall time across run_many calls
     sim_wall_time: float = 0.0  # summed per-run wall time (worker side)
     events: int = 0  # scheduler events across simulated runs
@@ -393,7 +372,6 @@ class RunnerPerf:
             "simulated": self.simulated,
             "cache_hits": self.cache_hits,
             "cache_hit_rate": self.cache_hit_rate,
-            "uncacheable": self.uncacheable,
             "wall_time": self.wall_time,
             "sim_wall_time": self.sim_wall_time,
             "events": self.events,
@@ -447,12 +425,7 @@ class ParallelRunner:
 
         to_run: List[int] = []
         for i, config in enumerate(configs):
-            digest = None
-            if self.cache is not None:
-                try:
-                    digest = config_digest(config)
-                except CacheKeyError:
-                    self.perf.uncacheable += 1
+            digest = config_digest(config) if self.cache is not None else None
             digests[i] = digest
             cached = self.cache.get(digest) if digest is not None else None
             if cached is not None:
@@ -492,11 +465,10 @@ class ParallelRunner:
     ) -> Iterable[SimulationResult]:
         """Simulate ``configs``, yielding results in submission order.
 
-        Pools across processes when it pays; unpicklable configs run
-        inline in the parent at their slot in the order.  On interrupt
-        the pool's pending futures are cancelled (never mid-write: the
-        caller caches each yielded result as it lands) before the
-        ``KeyboardInterrupt`` propagates.
+        Pools across processes when more than one config and worker are
+        available.  On interrupt the pool's pending futures are cancelled
+        (never mid-write: the caller caches each yielded result as it
+        lands) before the ``KeyboardInterrupt`` propagates.
         """
         workers = self.max_workers or os.cpu_count() or 1
         workers = min(workers, len(configs))
@@ -505,29 +477,11 @@ class ParallelRunner:
                 yield run_broadcast_simulation(config)
             return
 
-        poolable = set()
-        for i, config in enumerate(configs):
-            try:
-                pickle.dumps(config)
-                poolable.add(i)
-            except Exception:
-                pass
-
-        if len(poolable) <= 1:
-            for config in configs:
-                yield run_broadcast_simulation(config)
-            return
-
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
-            futures = {
-                i: pool.submit(_run_config, configs[i]) for i in poolable
-            }
-            for i, config in enumerate(configs):
-                if i in futures:
-                    yield futures[i].result()
-                else:
-                    yield run_broadcast_simulation(config)
+            futures = [pool.submit(_run_config, config) for config in configs]
+            for future in futures:
+                yield future.result()
         except BaseException:
             # cancel_futures drops queued work; in-flight tasks finish in
             # their workers but are never consumed.

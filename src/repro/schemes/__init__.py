@@ -20,11 +20,11 @@ Each scheme class registers itself with the plugin registry
 (:mod:`repro.schemes.registry`) via the ``@register_scheme`` decorator,
 declaring its constructor parameter schema and provenance;
 :data:`SCHEME_REGISTRY` maps registry names to those
-:class:`~repro.schemes.registry.SchemeSpec` entries (each spec is itself a
-callable factory).  :func:`make_scheme` builds a configured instance from a
-registry name plus keyword parameters
+:class:`~repro.schemes.registry.SchemeSpec` entries.  :func:`make_scheme`
+builds a configured instance from a registry name plus keyword parameters
 (e.g. ``make_scheme("counter", threshold=4)``), schema-validating the
-parameters first.
+parameters first; every parameter is a plain value, so a scenario that
+names one can be digested, cached and sent to a worker process.
 """
 
 from __future__ import annotations

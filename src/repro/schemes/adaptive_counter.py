@@ -12,7 +12,7 @@ whose neighborhood changes mid-wait adapts on the fly.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.schemes.base import PendingBroadcast
 from repro.schemes.counter import CounterScheme
@@ -21,17 +21,29 @@ from repro.schemes.thresholds import (
     DEFAULT_COUNTER_N1,
     DEFAULT_COUNTER_N2,
     MIDCURVE_SHAPES,
-    CounterThresholdFn,
+    counter_sequence,
     make_counter_threshold,
 )
 
 __all__ = ["AdaptiveCounterScheme"]
 
 
+def _parse_sequence(text: str) -> List[int]:
+    """``"2-3-4-5"`` -> ``[2, 3, 4, 5]``."""
+    try:
+        return [int(part) for part in text.split("-")]
+    except ValueError:
+        raise ValueError(
+            f"sequence must be integers joined by '-', like '2-3-4-5'; "
+            f"got {text!r}"
+        ) from None
+
+
 @register_scheme(
     params=(
-        ParamSpec("threshold_fn", "callable",
-                  doc="explicit C(n) (default: the paper's tuned curve)"),
+        ParamSpec("sequence", "str",
+                  doc="explicit C(n) in the paper's notation, e.g. "
+                      "'2-3-4-5' (default: the n1/n2/shape curve)"),
         ParamSpec("n1", "int", minimum=1,
                   doc=f"end of the C(n) = n + 1 rise "
                       f"(default {DEFAULT_COUNTER_N1})"),
@@ -48,9 +60,9 @@ __all__ = ["AdaptiveCounterScheme"]
 class AdaptiveCounterScheme(CounterScheme):
     """Counter scheme with threshold ``C(n)``.
 
-    Pass either an explicit ``threshold_fn`` or the scalar curve knobs
-    ``(n1, n2, shape)`` -- the latter are sweepable from campaign specs and
-    ``--scheme-param``; combining both is an error.
+    Pass either an explicit ``sequence`` of thresholds ``C(1) C(2) ...``
+    written as the paper does, joined by ``-`` (``"2-3-4-5"``), or the
+    curve knobs ``(n1, n2, shape)``; combining both is an error.
     """
 
     name = "adaptive-counter"
@@ -58,7 +70,7 @@ class AdaptiveCounterScheme(CounterScheme):
 
     def __init__(
         self,
-        threshold_fn: Optional[CounterThresholdFn] = None,
+        sequence: Optional[str] = None,
         n1: Optional[int] = None,
         n2: Optional[int] = None,
         shape: Optional[str] = None,
@@ -66,22 +78,22 @@ class AdaptiveCounterScheme(CounterScheme):
         # Bypass CounterScheme's constant-threshold validation: we override
         # every use of ``self.threshold`` with the function below.
         super().__init__(threshold=2)
-        if threshold_fn is not None and not (n1 is n2 is shape is None):
-            raise ValueError(
-                "pass either threshold_fn or the curve knobs "
-                "(n1, n2, shape), not both"
-            )
-        if threshold_fn is None:
-            threshold_fn = make_counter_threshold(
+        if sequence is None:
+            self.threshold_fn = make_counter_threshold(
                 n1 if n1 is not None else DEFAULT_COUNTER_N1,
                 n2 if n2 is not None else DEFAULT_COUNTER_N2,
                 shape if shape is not None else "linear",
             )
-        self.threshold_fn = threshold_fn
+        elif n1 is n2 is shape is None:
+            self.threshold_fn = counter_sequence(_parse_sequence(sequence))
+        else:
+            raise ValueError(
+                "pass either sequence or the curve knobs (n1, n2, shape), "
+                "not both"
+            )
 
     def describe(self) -> str:
-        label = getattr(self.threshold_fn, "label", "C(n)")
-        return f"AC[{label}]"
+        return f"AC[{self.threshold_fn.label}]"
 
     def should_inhibit(self, state: PendingBroadcast) -> bool:
         n = self.host.neighbor_count()

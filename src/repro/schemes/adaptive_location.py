@@ -16,7 +16,6 @@ from repro.schemes.thresholds import (
     DEFAULT_LOCATION_N1,
     DEFAULT_LOCATION_N2,
     EAC2_FRACTION,
-    LocationThresholdFn,
     make_location_threshold,
 )
 
@@ -25,8 +24,6 @@ __all__ = ["AdaptiveLocationScheme"]
 
 @register_scheme(
     params=(
-        ParamSpec("threshold_fn", "callable",
-                  doc="explicit A(n) (default: the paper's tuned curve)"),
         ParamSpec("n1", "int", minimum=1,
                   doc=f"force rebroadcast up to n1 neighbors "
                       f"(default {DEFAULT_LOCATION_N1})"),
@@ -41,40 +38,27 @@ __all__ = ["AdaptiveLocationScheme"]
     origin="this paper",
 )
 class AdaptiveLocationScheme(LocationScheme):
-    """Location scheme with threshold ``A(n)``.
-
-    Pass either an explicit ``threshold_fn`` or the scalar curve knobs
-    ``(n1, n2, a_max)`` -- the latter are sweepable from campaign specs and
-    ``--scheme-param``; combining both is an error.
-    """
+    """Location scheme with threshold ``A(n)``, shaped by the curve knobs
+    ``(n1, n2, a_max)``."""
 
     name = "adaptive-location"
     needs_hello = True
 
     def __init__(
         self,
-        threshold_fn: Optional[LocationThresholdFn] = None,
         n1: Optional[int] = None,
         n2: Optional[int] = None,
         a_max: Optional[float] = None,
     ) -> None:
         super().__init__(threshold=0.0)
-        if threshold_fn is not None and not (n1 is n2 is a_max is None):
-            raise ValueError(
-                "pass either threshold_fn or the curve knobs "
-                "(n1, n2, a_max), not both"
-            )
-        if threshold_fn is None:
-            threshold_fn = make_location_threshold(
-                n1 if n1 is not None else DEFAULT_LOCATION_N1,
-                n2 if n2 is not None else DEFAULT_LOCATION_N2,
-                a_max if a_max is not None else EAC2_FRACTION,
-            )
-        self.threshold_fn = threshold_fn
+        self.threshold_fn = make_location_threshold(
+            n1 if n1 is not None else DEFAULT_LOCATION_N1,
+            n2 if n2 is not None else DEFAULT_LOCATION_N2,
+            a_max if a_max is not None else EAC2_FRACTION,
+        )
 
     def describe(self) -> str:
-        label = getattr(self.threshold_fn, "label", "A(n)")
-        return f"AL[{label}]"
+        return f"AL[{self.threshold_fn.label}]"
 
     def current_threshold(self) -> float:
         return self.threshold_fn(self.host.neighbor_count())

@@ -44,10 +44,10 @@ __all__ = [
     "make_scheme",
 ]
 
-#: Parameter kinds a schema may declare.  ``"callable"`` parameters (the
-#: adaptive schemes' ``threshold_fn``) accept function objects and are not
-#: sweepable from campaign specs or the CLI.
-PARAM_KINDS = ("int", "float", "bool", "str", "callable")
+#: Parameter kinds a schema may declare.  Every kind has a scalar JSON
+#: form, so any parameter can be swept from a campaign spec, set with
+#: ``--scheme-param`` and folded into a result-cache digest.
+PARAM_KINDS = ("int", "float", "bool", "str")
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,6 @@ class ParamSpec:
                     f"schema: {error}"
                 )
 
-    @property
-    def sweepable(self) -> bool:
-        """Can campaign grids / the CLI sweep this parameter (scalar kind)?"""
-        return self.kind != "callable"
-
     def describe(self) -> str:
         """``name: kind = default [range]`` -- for listings and errors."""
         out = f"{self.name}: {self.kind}"
@@ -108,10 +103,6 @@ class ParamSpec:
             if self.default is None:
                 return None
             return f"{self.name} must not be None"
-        if self.kind == "callable":
-            if not callable(value):
-                return f"{self.name} must be callable, got {value!r}"
-            return None
         if self.kind == "bool":
             if not isinstance(value, bool):
                 return f"{self.name} must be a bool, got {value!r}"
@@ -155,12 +146,7 @@ class ParamSpec:
             if lowered in ("false", "0", "no", "off"):
                 return False
             raise ValueError(f"cannot parse {text!r} as a bool")
-        if self.kind == "str":
-            return text
-        raise ValueError(
-            f"parameter {self.name!r} takes a function object and cannot "
-            "be set from the command line"
-        )
+        return text
 
 
 @dataclass(frozen=True)
@@ -260,10 +246,6 @@ class SchemeSpec:
                 f"{self.accepted_parameters()})"
             ) from exc
 
-    #: Registry entries stay drop-in callable factories, so existing code
-    #: (and benches that temporarily swap an entry) keeps working.
-    __call__ = build
-
     def with_factory(self, factory: Callable[..., Any]) -> "SchemeSpec":
         """A copy of this spec with a replacement factory (ablation hook)."""
         return replace(self, factory=factory)
@@ -332,11 +314,4 @@ def make_scheme(name: str, **params: Any) -> Any:
     ``ValueError`` listing the scheme's accepted parameters on bad keyword
     arguments, so a typo in an experiment config fails loudly and early.
     """
-    spec = SCHEME_REGISTRY.get(name)
-    if spec is None:
-        known = ", ".join(sorted(SCHEME_REGISTRY))
-        raise ValueError(f"unknown scheme {name!r}; known schemes: {known}")
-    if not isinstance(spec, SchemeSpec):
-        # A bench/test swapped in a bare factory; honor it.
-        return spec(**params)
-    return spec.build(**params)
+    return get_spec(name).build(**params)

@@ -67,7 +67,7 @@ def counter_sequence(values: Sequence[int], name: str = "") -> CounterThresholdF
     if not values:
         raise ValueError("sequence must be non-empty")
     if any(v < 2 for v in values):
-        raise ValueError(f"counter thresholds below 2 never rebroadcast: {values}")
+        raise ValueError(f"sequence thresholds below 2 never rebroadcast: {values}")
     seq: List[int] = list(values)
 
     def threshold(n: int) -> int:
@@ -76,7 +76,6 @@ def counter_sequence(values: Sequence[int], name: str = "") -> CounterThresholdF
         index = max(0, min(n - 1, len(seq) - 1))
         return seq[index]
 
-    threshold.sequence = seq  # type: ignore[attr-defined]
     # Single-digit sequences keep the paper's compact "234" notation; any
     # threshold >= 10 forces a delimiter ([2, 10] must not read as "210").
     if any(v >= 10 for v in seq):
@@ -159,8 +158,6 @@ def make_location_threshold(
         return a_max * (n - n1) / (n2 - n1)
 
     threshold.label = f"AL(n1={n1},n2={n2})"  # type: ignore[attr-defined]
-    threshold.n1 = n1  # type: ignore[attr-defined]
-    threshold.n2 = n2  # type: ignore[attr-defined]
     return threshold
 
 

@@ -12,33 +12,7 @@ kernel counters) and :mod:`repro.trace` (per-decision provenance):
   baseline.
 
 Neither touches the simulation kernel, whose hot path stays
-telemetry-free by design.
+telemetry-free by design.  The package re-exports nothing: import the
+submodule you need, so a process that only runs simulations never loads
+the bench-history code.
 """
-
-from repro.telemetry.bench import (
-    BenchCheckReport,
-    MetricVerdict,
-    check_history,
-    flatten_metrics,
-    infer_bench_name,
-    load_history,
-    record_entry,
-)
-from repro.telemetry.resources import (
-    ResourceMonitor,
-    ResourceProfile,
-    peak_rss_bytes,
-)
-
-__all__ = [
-    "BenchCheckReport",
-    "MetricVerdict",
-    "ResourceMonitor",
-    "ResourceProfile",
-    "check_history",
-    "flatten_metrics",
-    "infer_bench_name",
-    "load_history",
-    "peak_rss_bytes",
-    "record_entry",
-]

@@ -201,12 +201,19 @@ def test_scheme_params_axis_values_schema_checked():
         ))
 
 
-def test_scheme_params_callable_param_not_sweepable():
-    with pytest.raises(SpecError, match="cannot be swept"):
+def test_scheme_params_sequence_axis_loads_and_is_type_checked():
+    spec = spec_from_dict(minimal_dict(
+        grid={
+            "scheme": ["adaptive-counter"],
+            "scheme_params.sequence": ["2-3-4-5", "2-2-3-3"],
+        },
+    ))
+    assert spec.grid["scheme_params.sequence"] == ("2-3-4-5", "2-2-3-3")
+    with pytest.raises(SpecError, match="must be a string"):
         spec_from_dict(minimal_dict(
             grid={
                 "scheme": ["adaptive-counter"],
-                "scheme_params.threshold_fn": ["linear"],
+                "scheme_params.sequence": [2345],
             },
         ))
 

@@ -279,6 +279,7 @@ def test_schemes_command_verbose_shows_params(capsys):
     out = capsys.readouterr().out
     assert "threshold: int = 3" in out
     assert "p: float = 0.7" in out
+    assert "sequence: str" in out
 
 
 def test_run_command_scheme_param(capsys):
@@ -293,6 +294,14 @@ def test_run_command_scheme_param(capsys):
     assert "counter-gossip@3x3" in capsys.readouterr().out
 
 
+def test_scheme_param_sequence_coerces():
+    from repro.cli import _parse_scheme_params
+
+    assert _parse_scheme_params(
+        "adaptive-counter", ["sequence=2-3-4-5"]
+    ) == {"sequence": "2-3-4-5"}
+
+
 def test_run_command_scheme_param_unknown_key():
     with pytest.raises(SystemExit, match="no parameter"):
         main(["run", "--scheme", "gossip", "--scheme-param", "q=0.5"])
@@ -305,6 +314,12 @@ def test_run_command_scheme_param_bad_value():
         main(["run", "--scheme", "gossip", "--scheme-param", "p=1.5"])
     with pytest.raises(SystemExit, match="KEY=VALUE"):
         main(["run", "--scheme", "gossip", "--scheme-param", "p0.5"])
+    with pytest.raises(SystemExit, match="sequence must be integers"):
+        main(["run", "--scheme", "adaptive-counter",
+              "--scheme-param", "sequence=2-x"])
+    with pytest.raises(SystemExit, match="n1 < n2"):
+        main(["run", "--scheme", "adaptive-counter",
+              "--scheme-param", "n1=8", "--scheme-param", "n2=4"])
 
 
 def test_sweep_command_scheme_param(capsys):

@@ -49,18 +49,6 @@ def test_result_to_dict_roundtrips_through_json(small_result):
     assert decoded["channel"]["transmissions"] > 0
 
 
-def test_result_dict_skips_unserializable_scheme_params():
-    config = ScenarioConfig(
-        scheme="adaptive-counter",
-        scheme_params={"threshold_fn": lambda n: 2},
-        map_units=1, num_hosts=5, num_broadcasts=1,
-    )
-    result = run_broadcast_simulation(config)
-    data = result_to_dict(result)
-    assert data["config"]["scheme_params"] == {}
-    json.dumps(data)  # must not raise
-
-
 def test_result_from_dict_is_a_fixed_point(small_result):
     """to_dict(from_dict(to_dict(r))) == to_dict(r): the rebuilt result
     carries everything the export format does."""

@@ -6,7 +6,6 @@ import pytest
 
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.parallel import (
-    CacheKeyError,
     ParallelRunner,
     ResultCache,
     config_digest,
@@ -14,7 +13,6 @@ from repro.experiments.parallel import (
 from repro.experiments.replication import replicate
 from repro.experiments.runner import run_broadcast_simulation, run_sweep
 from repro.faults.plan import ChurnProcess, FaultPlan
-from repro.schemes.thresholds import make_counter_threshold
 
 
 def small_config(**overrides):
@@ -84,19 +82,6 @@ def test_run_sweep_progress_fires_in_submission_order():
     assert seen == [1, 2, 3]
 
 
-def test_unpicklable_config_runs_inline():
-    # threshold_fn closures cannot cross a process boundary; the runner
-    # must fall back to inline execution and still return a result.
-    config = small_config(
-        scheme_params={"threshold_fn": make_counter_threshold(n1=4, n2=12)}
-    )
-    with pytest.raises(Exception):
-        pickle.dumps(config)
-    results = ParallelRunner(max_workers=2).run_many([config, small_config()])
-    assert len(results) == 2
-    assert all(r.events_processed > 0 for r in results)
-
-
 # ----------------------------------------------------------------- cache
 
 
@@ -135,22 +120,9 @@ def test_digest_distinguishes_configs_and_is_stable():
 
 
 def test_digest_rejects_callables():
-    config = small_config(
-        scheme_params={"threshold_fn": make_counter_threshold(n1=4, n2=12)}
-    )
-    with pytest.raises(CacheKeyError):
-        config_digest(config)
-
-
-def test_uncacheable_config_still_runs_and_is_counted(tmp_path):
-    config = small_config(
-        scheme_params={"threshold_fn": make_counter_threshold(n1=4, n2=12)}
-    )
-    runner = ParallelRunner(max_workers=1, cache_dir=tmp_path)
-    result = runner.run_many([config])[0]
-    assert result.events_processed > 0
-    assert runner.perf.uncacheable == 1
-    assert len(runner.cache) == 0
+    for value in (lambda n: 2, object()):
+        with pytest.raises(ValueError, match="stable cache key"):
+            config_digest(small_config(scheme_params={"x": value}))
 
 
 def test_cache_survives_corrupt_entry(tmp_path):
@@ -331,9 +303,7 @@ def test_cache_stats_counts_entries_and_bytes(tmp_path):
         p.stat().st_size for p in tmp_path.glob("*.pkl")
     )
     assert stats.oldest_age >= stats.newest_age >= 0.0
-    exported = stats.as_dict()
-    assert exported["entries"] == 3
-    assert exported["directory"] == str(tmp_path)
+    assert stats.directory == tmp_path
 
 
 def test_prune_without_bounds_is_noop(tmp_path):

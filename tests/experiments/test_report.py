@@ -1,5 +1,10 @@
 """Reproduction-report generator (smoke on a minimal grid)."""
 
+import pickle
+from types import SimpleNamespace
+
+from repro.experiments.figures.common import set_default_executor
+from repro.experiments.parallel import config_digest
 from repro.experiments.report import generate_report
 
 
@@ -23,3 +28,31 @@ def test_report_records_parameters():
     report = generate_report(maps=(1,), num_broadcasts=2, seed=7)
     assert "broadcasts/scenario=2" in report
     assert "maps=[1]" in report
+
+
+class _CollectingExecutor:
+    """Records every config it is handed and returns stub results."""
+
+    def __init__(self):
+        self.configs = []
+
+    def run_many(self, configs):
+        self.configs.extend(configs)
+        return [
+            SimpleNamespace(re=1.0, srb=0.0, latency=0.0, hellos=0)
+            for _ in configs
+        ]
+
+
+def test_every_reduced_report_run_can_be_cached_and_pooled():
+    executor = _CollectingExecutor()
+    previous = set_default_executor(executor)
+    try:
+        generate_report()
+    finally:
+        set_default_executor(previous)
+    digests = {config_digest(config) for config in executor.configs}
+    for config in executor.configs:
+        pickle.dumps(config)
+    assert len(executor.configs) == 123
+    assert len(digests) == 99

@@ -1,7 +1,13 @@
 """Adaptive counter scheme: C(n) reacts to the live neighbor count."""
 
-from repro.schemes import AdaptiveCounterScheme
-from repro.schemes.thresholds import counter_sequence, make_counter_threshold
+import pytest
+
+from repro.schemes import AdaptiveCounterScheme, make_scheme
+from repro.schemes.thresholds import (
+    FIG5A_SEQUENCES,
+    FIG5B_SEQUENCES,
+    counter_sequence,
+)
 
 from tests.schemes.harness import FakeHost, make_packet
 
@@ -54,8 +60,8 @@ def test_threshold_reevaluated_as_neighborhood_changes():
 
 
 def test_custom_threshold_function():
-    fn = counter_sequence([2, 2, 2, 2], name="always-2")
-    host = FakeHost(AdaptiveCounterScheme(threshold_fn=fn), neighbors=1, jitter=31)
+    scheme = AdaptiveCounterScheme(sequence="2-2-2-2")
+    host = FakeHost(scheme, neighbors=1, jitter=31)
     packet = make_packet()
     host.hear_first(packet)
     host.hear_again(packet)
@@ -69,3 +75,20 @@ def test_isolated_host_always_rebroadcasts_first_copy():
     host.hear_first(packet)
     host.run_jitter()
     assert len(host.submitted) == 1
+
+
+@pytest.mark.parametrize(
+    "seq", list(FIG5A_SEQUENCES.values()) + list(FIG5B_SEQUENCES.values())
+)
+def test_sequence_param_builds_the_fig5_curves(seq):
+    scheme = make_scheme("adaptive-counter", sequence="-".join(map(str, seq)))
+    expected = counter_sequence(seq)
+    assert [scheme.threshold_fn(n) for n in range(100)] == [
+        expected(n) for n in range(100)
+    ]
+
+
+@pytest.mark.parametrize("text", ["2-x", "1-2", "", "2--3", "2.5"])
+def test_malformed_sequence_names_the_parameter(text):
+    with pytest.raises(ValueError, match="sequence"):
+        AdaptiveCounterScheme(sequence=text)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.schemes import AdaptiveLocationScheme
-from repro.schemes.thresholds import make_location_threshold
 
 from tests.schemes.harness import FakeHost, make_packet
 
@@ -44,8 +43,7 @@ def test_crowded_host_with_high_ac_still_rebroadcasts():
 
 
 def test_threshold_scales_between_n1_and_n2():
-    fn = make_location_threshold(n1=6, n2=12)
-    scheme = AdaptiveLocationScheme(threshold_fn=fn)
+    scheme = AdaptiveLocationScheme(n1=6, n2=12)
     host = FakeHost(scheme, neighbors=9, position=(0.0, 0.0), radius=500.0)
     assert scheme.current_threshold() == pytest.approx(0.187 / 2, abs=1e-9)
 

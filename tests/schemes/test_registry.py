@@ -43,12 +43,6 @@ def test_registry_defaults_satisfy_own_schema():
         assert scheme.name == spec.name
 
 
-def test_registry_params_are_declared_sweepable_correctly():
-    for spec in SCHEME_REGISTRY.values():
-        for param in spec.params:
-            assert param.sweepable == (param.kind != "callable")
-
-
 # ---------------------------------------------------- make_scheme errors
 
 
@@ -92,19 +86,24 @@ def test_make_scheme_good_params_still_work():
     assert fn(1) == 2 and fn(3) == 4 and fn(20) == 2
 
 
-def test_make_scheme_callable_param_accepted():
-    fn = lambda n: 2
-    scheme = make_scheme("adaptive-counter", threshold_fn=fn)
-    assert scheme.threshold_fn is fn
-    with pytest.raises(ValueError, match="must be callable"):
-        make_scheme("adaptive-counter", threshold_fn=42)
+def test_make_scheme_sequence_param_accepted():
+    fn = make_scheme("adaptive-counter", sequence="2-2-3").threshold_fn
+    assert [fn(n) for n in range(5)] == [2, 2, 2, 3, 3]
+    with pytest.raises(ValueError, match="must be a string"):
+        make_scheme("adaptive-counter", sequence=42)
 
 
-def test_adaptive_curve_knobs_exclusive_with_threshold_fn():
+def test_adaptive_curve_knobs_exclusive_with_sequence():
     with pytest.raises(ValueError, match="not both"):
-        make_scheme("adaptive-counter", threshold_fn=lambda n: 2, n1=3)
+        make_scheme("adaptive-counter", sequence="2-3", n1=3)
     with pytest.raises(ValueError, match="not both"):
-        make_scheme("adaptive-location", threshold_fn=lambda n: 0.1, a_max=0.2)
+        make_scheme("adaptive-counter", sequence="2-3", shape="convex")
+
+
+def test_threshold_functions_are_not_parameters():
+    for name in ("adaptive-counter", "adaptive-location"):
+        with pytest.raises(ValueError, match="unknown parameter 'threshold_fn'"):
+            make_scheme(name, threshold_fn=lambda n: 2)
 
 
 def test_get_spec():
@@ -114,13 +113,6 @@ def test_get_spec():
 
 
 # ------------------------------------------------------ spec plumbing
-
-
-def test_spec_is_callable_factory():
-    # Registry entries stay drop-in callables (benches swap them).
-    scheme = SCHEME_REGISTRY["counter"](threshold=4)
-    assert isinstance(scheme, CounterScheme)
-    assert scheme.threshold == 4
 
 
 def test_with_factory_keeps_schema():
@@ -161,6 +153,8 @@ def test_register_scheme_rejects_duplicate_names():
 def test_paramspec_rejects_bad_schema():
     with pytest.raises(ValueError, match="unknown kind"):
         ParamSpec("x", "complex")
+    with pytest.raises(ValueError, match="unknown kind"):
+        ParamSpec("f", "callable")
     with pytest.raises(ValueError, match="default violates"):
         ParamSpec("x", "int", 1, minimum=2)
     with pytest.raises(ValueError, match="duplicate parameter"):
@@ -173,12 +167,9 @@ def test_paramspec_coerce():
     p_float = ParamSpec("p", "float")
     p_bool = ParamSpec("b", "bool")
     p_str = ParamSpec("s", "str")
-    p_fn = ParamSpec("f", "callable")
     assert p_int.coerce("12") == 12
     assert p_float.coerce("0.7") == 0.7
     assert p_bool.coerce("true") is True and p_bool.coerce("0") is False
     assert p_str.coerce("linear") == "linear"
     with pytest.raises(ValueError):
         p_bool.coerce("maybe")
-    with pytest.raises(ValueError, match="function object"):
-        p_fn.coerce("lambda n: 2")

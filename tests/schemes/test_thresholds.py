@@ -122,7 +122,6 @@ class TestLocationThreshold:
     def test_label_metadata(self):
         fn = make_location_threshold(n1=6, n2=12)
         assert fn.label == "AL(n1=6,n2=12)"
-        assert fn.n1 == 6 and fn.n2 == 12
 
 
 def test_counter_sequence_label_delimits_multidigit_thresholds():
