@@ -10,13 +10,14 @@ All results are normalized by the disk area ``pi r^2`` and are independent of
   ~= 0.41``.
 - Expected probability that a second random receiver contends with a first:
   ``int_0^r (2x/r^2) INTC(x)/(pi r^2) dx ~= 0.59``.
+
+The two quadratures import scipy when they are called, so importing this
+module (and every package that imports it) does not load scipy.
 """
 
 from __future__ import annotations
 
 import math
-
-from scipy.integrate import quad
 
 from repro.geometry.circles import lens_area
 
@@ -38,6 +39,7 @@ def mean_additional_coverage_fraction() -> float:
     The rebroadcaster is uniform in the sender's disk, so its distance has
     density ``2x / r^2`` on ``[0, r]``.  The paper reports ~0.41.
     """
+    from scipy.integrate import quad
 
     def integrand(x: float) -> float:
         return 2.0 * x * (math.pi - lens_area(1.0, x)) / math.pi
@@ -53,6 +55,7 @@ def expected_contention_probability() -> float:
     lens ``S_{A & B}``, with probability ``INTC(x)/(pi r^2)`` where ``x`` is
     the A-B distance.  The paper reports ~59 %.
     """
+    from scipy.integrate import quad
 
     def integrand(x: float) -> float:
         return 2.0 * x * lens_area(1.0, x) / math.pi

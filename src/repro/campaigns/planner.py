@@ -10,7 +10,8 @@ simulation today and tomorrow.
 
 Each planned run also carries its :func:`config_digest`, the SHA-256
 key the :class:`~repro.experiments.parallel.ResultCache` stores results
-under -- the join key between checkpoint, cache and HTTP service.
+under -- the join key between a campaign's checkpoint and the cache, and
+between a campaign and every figure or CLI run of the same scenario.
 """
 
 from __future__ import annotations

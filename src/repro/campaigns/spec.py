@@ -35,6 +35,7 @@ campaign's directory.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -43,7 +44,7 @@ from typing import Any, Dict, Mapping, Sequence, Tuple, Union
 
 from repro.experiments.io import scenario_from_dict
 from repro.faults.plan import FaultPlan
-from repro.schemes import SCHEME_REGISTRY
+from repro.schemes import SCHEME_REGISTRY, make_scheme
 
 __all__ = [
     "GRID_AXES",
@@ -127,6 +128,7 @@ class CampaignSpec:
             scenario_from_dict(dict(self.scenario))
         except (ValueError, TypeError) as exc:
             raise SpecError(f"invalid [scenario] section: {exc}") from exc
+        self._build_each_scheme()
 
     def _swept_schemes(self) -> Tuple[str, ...]:
         """Every scheme this campaign can run (grid axis, else base, else
@@ -167,6 +169,30 @@ class CampaignSpec:
                             f"scheme_params.{key} for scheme {scheme!r}: "
                             f"{error}"
                         )
+
+    def _build_each_scheme(self) -> None:
+        """Build each swept scheme once from every ``scheme_params``
+        combination the grid produces: the constructor checks values
+        together (``n1 < n2``, a well-formed ``sequence``) that
+        :meth:`_validate_scheme_params` checks one at a time."""
+        axes = sorted(a for a in self.grid if a.startswith("scheme_params."))
+        base_params = dict(self.scenario.get("scheme_params", {}))
+        for combo in itertools.product(*(self.grid[a] for a in axes)):
+            params = dict(base_params)
+            for axis, value in zip(axes, combo):
+                params[axis[len("scheme_params."):]] = value
+            for scheme in self._swept_schemes():
+                try:
+                    make_scheme(scheme, **params)
+                except ValueError as exc:
+                    combination = ", ".join(
+                        f"{key}={value!r}"
+                        for key, value in sorted(params.items())
+                    )
+                    raise SpecError(
+                        f"scheme {scheme!r} cannot be built from "
+                        f"scheme_params {combination}: {exc}"
+                    ) from exc
 
     # ---------------------------------------------------------- identity
 

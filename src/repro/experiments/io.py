@@ -229,7 +229,7 @@ def result_from_dict(data: Dict[str, Any]) -> SimulationResult:
 
 #: ScenarioConfig fields a scenario dict may set, with their JSON types.
 #: ``capture`` and ``phy`` are deliberately absent: they have no stable
-#: JSON form yet, so specs and service requests cannot reach them.
+#: JSON form yet, so campaign specs cannot reach them.
 _SCENARIO_SCALARS = (
     "scheme", "map_units", "unit_length", "num_hosts", "num_broadcasts",
     "interarrival_max", "max_speed_kmh", "mobility", "oracle_neighbors",
@@ -248,11 +248,11 @@ def scenario_to_dict(config: ScenarioConfig) -> Dict[str, Any]:
     """Full-fidelity JSON form of a :class:`ScenarioConfig`.
 
     The inverse of :func:`scenario_from_dict`: the round trip preserves
-    the config's cache digest, so a scenario shipped through a campaign
-    spec or the HTTP service hits the same :class:`ResultCache` slot as
-    one built in-process.  Configs carrying a capture model, a
-    non-default PHY, or non-scalar ``scheme_params`` have no stable JSON
-    form and raise ``ValueError``.
+    the config's cache digest, so a scenario written into a campaign spec
+    hits the same :class:`ResultCache` slot as the same scenario built in
+    process by a figure driver or the CLI.  Configs carrying a capture
+    model, a non-default PHY, or non-scalar ``scheme_params`` have no
+    stable JSON form and raise ``ValueError``.
     """
     if config.capture is not None:
         raise ValueError("capture models have no JSON scenario form")

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from scipy import stats as scipy_stats
-
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import SimulationResult, run_broadcast_simulation
 
@@ -63,7 +61,11 @@ class MetricEstimate:
             return cls(mean=mean, half_width=0.0, confidence=confidence, samples=1)
         var = sum((v - mean) ** 2 for v in clean) / (n - 1)
         sem = math.sqrt(var / n)
-        t = scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1)
+        # scipy is imported on first use: it is the largest import in the
+        # package, and a process that only simulates never needs it.
+        from scipy import stats
+
+        t = stats.t.ppf(0.5 + confidence / 2.0, df=n - 1)
         return cls(
             mean=mean, half_width=t * sem, confidence=confidence, samples=n
         )

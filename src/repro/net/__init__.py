@@ -4,7 +4,8 @@
   ``(source ID, sequence number)`` for duplicate detection, as in DSR/AODV)
   and HELLO packets (optionally carrying the sender's neighbor list for the
   neighbor-coverage scheme and its announced hello interval for DHI).
-- :mod:`repro.net.dupcache` -- the duplicate-broadcast detector.
+- :mod:`repro.net.dupcache` -- the duplicate-broadcast detector (every
+  host's cache in one network-wide store).
 - :mod:`repro.net.neighbors` -- neighbor tables built from HELLOs (every
   host's in one network-wide store), two-hop knowledge,
   neighborhood-variation tracking and the paper's dynamic hello interval
@@ -15,7 +16,7 @@
   and provides connectivity snapshots (the ``e`` in RE).
 """
 
-from repro.net.dupcache import DuplicateCache
+from repro.net.dupcache import DuplicateCache, DuplicateStore
 from repro.net.host import HelloConfig, MobileHost
 from repro.net.neighbors import (
     NeighborStore,
@@ -30,6 +31,7 @@ __all__ = [
     "HelloPacket",
     "PacketKey",
     "DuplicateCache",
+    "DuplicateStore",
     "NeighborStore",
     "NeighborTable",
     "dynamic_hello_interval",

@@ -2,48 +2,79 @@
 
 "We assume that a host can detect duplicate broadcast packets ... by
 associating with each broadcast packet a tuple (source ID, sequence number)"
-(paper Section 2.1).  A plain set suffices functionally; this cache also
-supports optional capacity bounding with FIFO eviction so multi-hour
-simulations do not grow without bound.
+(paper Section 2.1).
+
+Layout
+------
+One :class:`DuplicateStore` holds every host's cache: a dict from packet
+key to a host bitset, an int whose bit ``h`` is set while host ``h``'s
+cache holds the key.  A broadcast that reaches the whole network costs
+one entry, not one per host.  A host's :class:`DuplicateCache` is its
+handle on the store: it reads and writes only its own bit.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Hashable, Optional
+from typing import Dict, Hashable
 
-__all__ = ["DuplicateCache"]
+__all__ = ["DuplicateCache", "DuplicateStore"]
+
+
+class DuplicateStore:
+    """Every host's duplicate cache, as one host bitset per packet key.
+
+    Host ``h``'s cache is ``caches[h]``.  A key no cache holds has no
+    entry, so ``len(store)`` counts the keys some host still holds.
+    """
+
+    __slots__ = ("caches", "_holders")
+
+    def __init__(self, size: int) -> None:
+        self._holders: Dict[Hashable, int] = {}
+        self.caches = [
+            DuplicateCache(self._holders, host_id) for host_id in range(size)
+        ]
+
+    def __len__(self) -> int:
+        return len(self._holders)
 
 
 class DuplicateCache:
-    """Remembers packet keys this host has already processed."""
+    """The packet keys one host has already processed: its bit of a
+    :class:`DuplicateStore`."""
 
-    __slots__ = ("_capacity", "_seen")
+    __slots__ = ("_holders", "_bit", "_count")
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError(f"capacity must be positive or None, got {capacity}")
-        self._capacity = capacity
-        self._seen: "OrderedDict[Hashable, None]" = OrderedDict()
+    def __init__(self, holders: Dict[Hashable, int], host_id: int) -> None:
+        self._holders = holders
+        self._bit = 1 << host_id
+        #: Keys that carry this host's bit.
+        self._count = 0
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._seen
+        return self._holders.get(key, 0) & self._bit != 0
 
     def __len__(self) -> int:
-        return len(self._seen)
+        return self._count
 
     def add(self, key: Hashable) -> bool:
         """Record ``key``.  Returns ``True`` if it was new."""
-        if key in self._seen:
+        holders = self._holders
+        bits = holders.get(key, 0)
+        if bits & self._bit:
             return False
-        self._seen[key] = None
-        if self._capacity is not None and len(self._seen) > self._capacity:
-            self._seen.popitem(last=False)
+        holders[key] = bits | self._bit
+        self._count += 1
         return True
 
-    def check_and_add(self, key: Hashable) -> bool:
-        """Alias of :meth:`add`, named for call-site readability."""
-        return self.add(key)
-
     def clear(self) -> None:
-        self._seen.clear()
+        """Forget every key; a key no other host holds leaves the store."""
+        bit = self._bit
+        holders = self._holders
+        for key in [key for key, bits in holders.items() if bits & bit]:
+            bits = holders[key] ^ bit
+            if bits:
+                holders[key] = bits
+            else:
+                del holders[key]
+        self._count = 0

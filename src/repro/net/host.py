@@ -96,6 +96,7 @@ class MobileHost:
         scheme_rng: random.Random,
         hello_rng: random.Random,
         neighbor_table: NeighborTable,
+        dup_cache: DuplicateCache,
         hello_config: Optional[HelloConfig] = None,
         oracle_neighbors: bool = False,
         trace: Optional[Any] = None,
@@ -123,7 +124,9 @@ class MobileHost:
         #: Handler for unicast payloads addressed to this host (set by the
         #: routing agent); unhandled unicast payloads raise.
         self.unicast_handler = None
-        self.dup_cache = DuplicateCache()
+        #: This host's handle on the network's
+        #: :class:`~repro.net.dupcache.DuplicateStore`.
+        self.dup_cache = dup_cache
         #: This host's handle on the network's
         #: :class:`~repro.net.neighbors.NeighborStore`.
         self.neighbor_table = neighbor_table
@@ -273,24 +276,24 @@ class MobileHost:
             return
         if isinstance(frame, BroadcastPacket):
             trace = self.trace
-            if frame.key in self.dup_cache:
+            key = frame.key
+            if self.dup_cache.add(key):
+                if trace is not None:
+                    trace.records.append((
+                        self.scheduler._now, "receive", frame.source_id,
+                        frame.seq, self.host_id, sender_id,
+                    ))
+                self.metrics.on_receive(key, self.host_id, self.scheduler.now)
+                for observer in self.packet_observers:
+                    observer(frame, sender_id)
+                self.scheme.on_first_hear(frame, sender_id, frame.tx_position)
+            else:
                 if trace is not None:
                     trace.records.append((
                         self.scheduler._now, "dup", frame.source_id,
                         frame.seq, self.host_id, sender_id,
                     ))
                 self.scheme.on_hear_again(frame, sender_id, frame.tx_position)
-            else:
-                self.dup_cache.add(frame.key)
-                if trace is not None:
-                    trace.records.append((
-                        self.scheduler._now, "receive", frame.source_id,
-                        frame.seq, self.host_id, sender_id,
-                    ))
-                self.metrics.on_receive(frame.key, self.host_id, self.scheduler.now)
-                for observer in self.packet_observers:
-                    observer(frame, sender_id)
-                self.scheme.on_first_hear(frame, sender_id, frame.tx_position)
             return
         if self.unicast_handler is not None:
             self.unicast_handler(frame, sender_id)

@@ -12,6 +12,7 @@ from repro.metrics.connectivity import reachable_rows
 from repro.mobility.map import RectMap
 from repro.mobility.models import MobilityModel, make_mobility
 from repro.mobility.store import PositionStore
+from repro.net.dupcache import DuplicateStore
 from repro.net.host import HelloConfig, MobileHost
 from repro.net.neighbors import NeighborStore
 from repro.net.packets import BroadcastPacket, HelloPacket
@@ -92,6 +93,8 @@ class Network:
         self.neighbor_store = NeighborStore(
             num_hosts, default_interval=hello_config.interval
         )
+        #: Every host's duplicate cache (``dup_store.caches[host_id]``).
+        self.dup_store = DuplicateStore(num_hosts)
 
         for host_id in range(num_hosts):
             host = MobileHost(
@@ -107,6 +110,7 @@ class Network:
                 scheme_rng=streams.stream(f"scheme/{host_id}"),
                 hello_rng=streams.stream(f"hello/{host_id}"),
                 neighbor_table=self.neighbor_store.tables[host_id],
+                dup_cache=self.dup_store.caches[host_id],
                 hello_config=hello_config,
                 oracle_neighbors=oracle_neighbors,
                 trace=trace,

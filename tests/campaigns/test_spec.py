@@ -228,3 +228,46 @@ def test_base_scenario_scheme_params_keys_validated():
 def test_base_scenario_unknown_scheme_fails_at_load():
     with pytest.raises(SpecError, match="unknown scheme"):
         spec_from_dict(minimal_dict(scenario={"scheme": "telepathy"}))
+
+
+def test_scheme_params_malformed_sequence_fails_at_load():
+    with pytest.raises(
+        SpecError, match=r"scheme 'adaptive-counter'.*sequence='2-x'"
+    ):
+        spec_from_dict(minimal_dict(
+            grid={
+                "scheme": ["adaptive-counter"],
+                "scheme_params.sequence": ["2-3", "2-x"],
+            },
+        ))
+
+
+def test_scheme_params_axes_built_together_at_load():
+    # Each n1 and n2 value passes its schema alone; the pair n1=6, n2=5
+    # is what the constructor rejects.
+    with pytest.raises(
+        SpecError, match=r"scheme 'adaptive-counter'.*n1=6, n2=5"
+    ):
+        spec_from_dict(minimal_dict(
+            grid={
+                "scheme": ["adaptive-counter"],
+                "scheme_params.n1": [2, 6],
+                "scheme_params.n2": [5, 9],
+            },
+        ))
+    spec = spec_from_dict(minimal_dict(
+        grid={
+            "scheme": ["adaptive-counter"],
+            "scheme_params.n1": [2, 4],
+            "scheme_params.n2": [5, 9],
+        },
+    ))
+    assert spec.total_runs == 4
+
+
+def test_base_scenario_scheme_params_built_with_the_axes():
+    with pytest.raises(SpecError, match=r"n1=7, n2=6"):
+        spec_from_dict(minimal_dict(
+            grid={"scheme": ["adaptive-counter"], "scheme_params.n1": [3, 7]},
+            scenario={"scheme_params": {"n2": 6}},
+        ))
