@@ -14,7 +14,7 @@ import pytest
 
 from conftest import run_once
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import run_broadcast_simulation, run_sweep
+from repro.experiments.runner import run_broadcast_simulation
 
 
 def _config(**kwargs):

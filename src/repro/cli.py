@@ -13,8 +13,9 @@ Subcommands::
     repro-manet bench check --history bench/history.jsonl --threshold 0.2
 
 ``run`` executes a single scenario and prints its summary line; ``figure``
-regenerates one of the paper's figures (fig01, fig02, fig05a-d, fig07,
-fig09, fig10, fig11, fig12, fig13) as a text table.
+regenerates one of the paper's figures (a name from
+:data:`~repro.experiments.figures.FIGURES`: fig01, fig02, fig05a-d, fig07,
+fig09, fig10, fig11, fig12, fig13) as text tables, one per panel.
 
 ``figure`` and ``sweep`` accept ``--jobs N`` to fan independent runs
 across N worker processes (results stay bit-identical to ``--jobs 1``)
@@ -37,17 +38,7 @@ import sys
 from typing import List, Optional
 
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.figures import (
-    fig01,
-    fig02,
-    fig05,
-    fig07,
-    fig09,
-    fig10,
-    fig11,
-    fig12,
-    fig13,
-)
+from repro.experiments.figures import FIGURES
 from repro.experiments.runner import run_broadcast_simulation
 from repro.net.host import HelloConfig
 from repro.schemes import SCHEME_REGISTRY
@@ -74,8 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--speed", type=float, default=None,
                        help="max host speed km/h (default: 10 per map unit)")
     run_p.add_argument("--seed", type=int, default=1)
-    run_p.add_argument("--counter-threshold", type=int, default=None)
-    run_p.add_argument("--location-threshold", type=float, default=None)
     _add_scheme_param_arg(run_p)
     run_p.add_argument("--hello-interval", type=float, default=1.0)
     run_p.add_argument("--dynamic-hello", action="store_true")
@@ -112,13 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     fig_p = sub.add_parser("figure", help="regenerate a paper figure")
-    fig_p.add_argument(
-        "name",
-        choices=[
-            "fig01", "fig02", "fig05a", "fig05b", "fig05c", "fig05d",
-            "fig07", "fig09", "fig10", "fig11", "fig12", "fig13",
-        ],
-    )
+    fig_p.add_argument("name", choices=list(FIGURES))
     fig_p.add_argument("--broadcasts", type=int, default=50)
     fig_p.add_argument("--seed", type=int, default=1)
     fig_p.add_argument("--maps", type=int, nargs="+", default=None,
@@ -126,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig_p.add_argument("--chart", action="store_true",
                        help="also render an ASCII chart of RE per series")
     fig_p.add_argument("--csv", metavar="PATH", default=None,
-                       help="write the series to a CSV file")
+                       help="write every panel's series to one CSV file")
     _add_exec_args(fig_p)
     _add_profile_arg(fig_p)
 
@@ -355,32 +338,8 @@ def _print_perf(runner) -> None:
     )
 
 
-def _render_extras(result, args) -> None:
-    """Optional chart / CSV output for a FigureResult."""
-    if getattr(args, "chart", False):
-        from repro.viz import line_chart
-
-        series = {
-            name: [(float(p.x), p.re) for p in points]
-            for name, points in result.series.items()
-        }
-        print()
-        print(line_chart(series, title=f"{result.figure} (RE)",
-                         y_range=(0.0, 1.0)))
-    if getattr(args, "csv", None):
-        from repro.experiments.io import write_figure_csv
-
-        write_figure_csv(result, args.csv)
-        print(f"\nwrote {args.csv}")
-
-
 def _run_single(args: argparse.Namespace) -> int:
-    params = {}
-    if args.counter_threshold is not None:
-        params["threshold"] = args.counter_threshold
-    if args.location_threshold is not None:
-        params["threshold"] = args.location_threshold
-    params.update(_parse_scheme_params(args.scheme, args.scheme_param))
+    params = _parse_scheme_params(args.scheme, args.scheme_param)
     hello = HelloConfig(interval=args.hello_interval, dynamic=args.dynamic_hello)
     faults = None
     if args.faults is not None:
@@ -465,11 +424,6 @@ def _run_single(args: argparse.Namespace) -> int:
     return 0
 
 
-def _show(result, args, metrics=("re", "srb")) -> None:
-    print(result.table(metrics=metrics))
-    _render_extras(result, args)
-
-
 def _run_figure(args: argparse.Namespace) -> int:
     from repro.experiments.figures.common import set_default_executor
 
@@ -480,10 +434,10 @@ def _run_figure(args: argparse.Namespace) -> int:
             from repro.perf import format_profile, profiled
 
             with profiled() as prof:
-                _dispatch_figure(args)
+                _show_figure(args)
             print(format_profile(prof, top_n=args.profile))
         else:
-            _dispatch_figure(args)
+            _show_figure(args)
     finally:
         set_default_executor(previous)
     if runner.perf.runs:
@@ -491,83 +445,86 @@ def _run_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dispatch_figure(args: argparse.Namespace) -> None:
-    n = args.broadcasts
-    seed = args.seed
-    maps = tuple(args.maps) if args.maps else None
+def _show_figure(args: argparse.Namespace) -> None:
+    """Print a figure's tables (one per panel), with its chart and CSV."""
+    from repro.experiments.figures.common import run_panels
 
-    def kw(**extra):
-        out = {"num_broadcasts": n, "seed": seed}
-        if maps:
-            out["maps"] = maps
-        out.update(extra)
-        return out
-
-    name = args.name
-    if name == "fig01":
-        print(fig01.format_table(fig01.run(seed=seed)))
-    elif name == "fig02":
-        print(fig02.format_table(fig02.run(seed=seed)))
-    elif name == "fig05a":
-        _show(fig05.run_5a(**kw()), args)
-    elif name == "fig05b":
-        _show(fig05.run_5b(**kw()), args)
-    elif name == "fig05c":
-        _show(fig05.run_5c(**kw()), args)
-    elif name == "fig05d":
-        _show(fig05.run_5d(**kw()), args)
-    elif name == "fig07":
-        _show(fig07.run(**kw()), args, metrics=("re", "srb", "latency"))
-    elif name == "fig09":
-        _show(fig09.run(**kw()), args)
-    elif name == "fig10":
-        _show(fig10.run(**kw()), args, metrics=("re", "srb", "latency"))
-    elif name == "fig11":
-        for units, panel in fig11.run(**kw()).items():
-            _show(panel, args, metrics=("re",))
+    figure = FIGURES[args.name]
+    if figure.compute is not None:
+        print(figure.compute(seed=args.seed))
+        return
+    results = run_panels(
+        figure.declare(
+            maps=tuple(args.maps) if args.maps else figure.maps,
+            num_broadcasts=args.broadcasts,
+            seed=args.seed,
+        )
+    )
+    for k, result in enumerate(results):
+        if k:
             print()
-    elif name == "fig12":
-        _show(fig12.run(**kw()), args, metrics=("re", "srb", "hellos"))
-    elif name == "fig13":
-        _show(fig13.run(**kw()), args, metrics=("re", "srb"))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(name)
+        print(result.table(metrics=figure.metrics))
+        if args.chart:
+            from repro.viz import line_chart
+
+            series = {
+                name: [(float(p.x), p.re) for p in points]
+                for name, points in result.series.items()
+            }
+            print()
+            print(line_chart(series, title=f"{result.figure} (RE)",
+                             y_range=(0.0, 1.0)))
+    if args.csv:
+        from repro.experiments.io import write_figure_csv
+
+        write_figure_csv(results, args.csv)
+        print(f"\nwrote {args.csv}")
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments.replication import aggregate, check_seeds
+
+    try:
+        check_seeds(args.seeds)
+    except ValueError as exc:
+        raise SystemExit(f"error: --seeds: {exc}")
     runner = _make_executor(args)
-    rows = []
-    print(
-        f"{'scheme':<20} {'map':>4} {'RE':>16} {'SRB':>16} {'latency':>10}"
-    )
+    cells = []
     for scheme in args.schemes:
         # Validated per scheme: every swept scheme must accept every key.
         params = _parse_scheme_params(scheme, args.scheme_param)
-        for units in args.maps:
-            config = ScenarioConfig(
+        cells += [
+            ScenarioConfig(
                 scheme=scheme,
                 scheme_params=params,
                 map_units=units,
                 num_hosts=args.hosts,
                 num_broadcasts=args.broadcasts,
             )
-            result = runner.replicate(config, seeds=args.seeds)
-            print(
-                f"{scheme:<20} {units:>4} {str(result.re):>16} "
-                f"{str(result.srb):>16} "
-                f"{result.latency.mean * 1000 if result.latency else float('nan'):>8.1f}ms"
-            )
-            rows.append((config, result))
+            for units in args.maps
+        ]
+    print(
+        f"{'scheme':<20} {'map':>4} {'RE':>16} {'SRB':>16} {'latency':>10}"
+    )
+    # The whole grid is one batch, so --jobs spreads every cell's seeds
+    # over one pool.
+    runs = runner.run_many([
+        cell.with_overrides(seed=seed) for cell in cells for seed in args.seeds
+    ])
+    n = len(args.seeds)
+    for k, cell in enumerate(cells):
+        result = aggregate(cell, runs[k * n:(k + 1) * n])
+        print(
+            f"{cell.scheme:<20} {cell.map_units:>4} {str(result.re):>16} "
+            f"{str(result.srb):>16} "
+            f"{result.latency.mean * 1000 if result.latency else float('nan'):>8.1f}ms"
+        )
     if args.json:
         import json
 
         from repro.experiments.io import result_to_dict
 
-        payload = [
-            result_to_dict(run)
-            for _config, replicated in rows
-            for run in replicated.results
-        ]
+        payload = [result_to_dict(run) for run in runs]
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2)
         print(f"\nwrote {args.json}")

@@ -7,16 +7,11 @@ drive them and assert the qualitative shapes.
 """
 
 from repro.experiments.config import ScenarioConfig, default_max_speed_kmh
-from repro.experiments.runner import (
-    SimulationResult,
-    run_broadcast_simulation,
-    run_sweep,
-)
+from repro.experiments.runner import SimulationResult, run_broadcast_simulation
 
 __all__ = [
     "ScenarioConfig",
     "default_max_speed_kmh",
     "SimulationResult",
     "run_broadcast_simulation",
-    "run_sweep",
 ]

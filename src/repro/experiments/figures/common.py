@@ -1,34 +1,36 @@
-"""Shared result containers and sweep helpers for the figure drivers.
+"""Figure declarations, result containers and the one batch that runs them.
 
-Execution layer
----------------
-Figure drivers declare *what* to simulate -- ``(series, x, config)``
-entries -- and :func:`run_series_points` decides *how*: through the
-session's default executor (a
-:class:`~repro.experiments.parallel.ParallelRunner` installed via
-:func:`set_default_executor`, giving process-pool fan-out and result
-caching) or sequentially when none is installed.  Points land in the
-:class:`FigureResult` in declaration order either way, so tables and CSVs
-are identical no matter how the runs were scheduled.
+A figure module declares *what* to simulate: a :class:`Figure` holds the
+report's section title, the paper finding it quotes and the table
+metrics, and its ``declare`` function returns one :class:`Panel` per
+table, each listing ``(series, x, config)`` entries.  :func:`run_panels`
+runs any list of panels -- one figure's or the whole report's -- as a
+single batch through the installed executor (:func:`set_default_executor`:
+a :class:`~repro.experiments.parallel.ParallelRunner` with a pool and a
+cache), or through an inline ``ParallelRunner(max_workers=1)`` when none
+is installed.  The runner simulates each distinct config once, so
+figures that share scenarios share their runs, and the points land in
+each :class:`FigureResult` in declaration order: tables and CSVs are
+identical however the runs were scheduled.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import SimulationResult, run_broadcast_simulation
+from repro.experiments.runner import SimulationResult
 
 __all__ = [
     "SeriesPoint",
     "FigureResult",
+    "Panel",
+    "Figure",
     "PAPER_MAPS",
-    "run_series_point",
-    "run_series_points",
+    "run_panels",
     "set_default_executor",
-    "get_default_executor",
 ]
 
 #: The paper's map-size sweep (side length in 500 m units).
@@ -92,8 +94,44 @@ class FigureResult:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class Panel:
+    """One table of a figure: its title, x label and runs."""
+
+    title: str
+    x_label: str
+    #: ``(series, x, config)``, in the order the table lists them.
+    entries: List[Tuple[str, Any, ScenarioConfig]]
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One entry of the figure table that the report and the CLI share.
+
+    A simulated figure has ``declare(maps=..., num_broadcasts=...,
+    seed=..., **grid) -> List[Panel]``; an analytic one (Figs. 1 and 2)
+    has ``compute(seed=..., **grid) -> str``, its table text, instead.
+    """
+
+    #: The report's section title; empty for a panel that continues the
+    #: section above it.
+    title: str
+    #: The paper's finding, quoted under the title.
+    paper: str = ""
+    #: The table's metric columns.
+    metrics: Tuple[str, ...] = ("re", "srb")
+    declare: Optional[Callable[..., List[Panel]]] = None
+    compute: Optional[Callable[..., str]] = None
+    #: The paper's map grid for this figure; the report keeps the maps it
+    #: shares with it.
+    maps: Tuple[int, ...] = PAPER_MAPS
+    #: The report's cuts of the figure's other grids, as keyword arguments.
+    report_grid: Dict[str, Any] = field(default_factory=dict)
+
+
 #: The installed execution backend (duck-typed: anything with
-#: ``run_many(configs) -> List[SimulationResult]``), or None = sequential.
+#: ``run_many(configs) -> List[SimulationResult]``), or None = an inline
+#: single-worker runner per batch.
 _default_executor: Optional[Any] = None
 
 
@@ -101,8 +139,8 @@ def set_default_executor(executor: Optional[Any]) -> Optional[Any]:
     """Install the executor figure drivers route their runs through.
 
     Pass a :class:`~repro.experiments.parallel.ParallelRunner` (or any
-    object with ``run_many``); ``None`` restores plain sequential
-    execution.  Returns the previous executor so callers can restore it.
+    object with ``run_many``); ``None`` restores inline execution.
+    Returns the previous executor so callers can restore it.
     """
     global _default_executor
     previous = _default_executor
@@ -110,42 +148,39 @@ def set_default_executor(executor: Optional[Any]) -> Optional[Any]:
     return previous
 
 
-def get_default_executor() -> Optional[Any]:
-    return _default_executor
-
-
 def _execute(configs: List[ScenarioConfig]) -> List[SimulationResult]:
-    if _default_executor is not None:
-        return _default_executor.run_many(configs)
-    return [run_broadcast_simulation(config) for config in configs]
+    executor = _default_executor
+    if executor is None:
+        # Imported here: the runner's module loads multiprocessing, which
+        # a process that installs its own executor never needs.
+        from repro.experiments.parallel import ParallelRunner
+
+        executor = ParallelRunner(max_workers=1)
+    return executor.run_many(configs)
 
 
-def _point(result: SimulationResult, x: Any) -> SeriesPoint:
-    return SeriesPoint(
-        x=x,
-        re=result.re,
-        srb=result.srb,
-        latency=result.latency,
-        hellos=result.hellos,
-    )
+def run_panels(panels: Sequence[Panel]) -> List[FigureResult]:
+    """Run every entry of ``panels`` as one batch.
 
-
-def run_series_point(config: ScenarioConfig, x: Any) -> SeriesPoint:
-    """Run one scenario and wrap its summary as a series point."""
-    return _point(_execute([config])[0], x)
-
-
-def run_series_points(
-    figure: FigureResult,
-    entries: Sequence[Tuple[str, Any, ScenarioConfig]],
-) -> FigureResult:
-    """Run a whole figure's ``(series, x, config)`` entries as one batch.
-
-    The batch goes to the default executor in one call -- the unit of
-    parallelism -- and the points are added to ``figure`` in declaration
-    order, keeping output identical to the sequential path.
+    The whole batch goes to the executor in one ``run_many`` call, in
+    declaration order; one :class:`FigureResult` per panel comes back,
+    in the same order.
     """
-    results = _execute([config for _, _, config in entries])
-    for (series_name, x, _), result in zip(entries, results):
-        figure.add(series_name, _point(result, x))
-    return figure
+    configs = [config for panel in panels for _, _, config in panel.entries]
+    results = iter(_execute(configs))
+    figures = []
+    for panel in panels:
+        figure = FigureResult(panel.title, panel.x_label)
+        for (series_name, x, _), result in zip(panel.entries, results):
+            figure.add(
+                series_name,
+                SeriesPoint(
+                    x=x,
+                    re=result.re,
+                    srb=result.srb,
+                    latency=result.latency,
+                    hellos=result.hellos,
+                ),
+            )
+        figures.append(figure)
+    return figures

@@ -9,8 +9,9 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.analysis.coverage import eac_table
+from repro.experiments.figures.common import Figure
 
-__all__ = ["run", "PAPER_EAC1", "PAPER_TAIL_BOUND", "PAPER_TAIL_K"]
+__all__ = ["run", "FIGURE", "PAPER_EAC1", "PAPER_TAIL_BOUND", "PAPER_TAIL_K"]
 
 PAPER_EAC1 = 0.41
 PAPER_TAIL_BOUND = 0.05
@@ -27,3 +28,10 @@ def format_table(series: Dict[int, float]) -> str:
     for k, v in sorted(series.items()):
         lines.append(f"{k:>3} {v:>8.4f}")
     return "\n".join(lines)
+
+
+FIGURE = Figure(
+    "Fig. 1 — Expected additional coverage EAC(k)",
+    "EAC(1) ~ 0.41, decreasing, below 0.05 from k = 4.",
+    compute=lambda **grid: format_table(run(**grid)),
+)

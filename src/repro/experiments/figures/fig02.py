@@ -10,8 +10,9 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.analysis.contention import contention_free_probabilities
+from repro.experiments.figures.common import Figure
 
-__all__ = ["run", "format_table"]
+__all__ = ["run", "format_table", "FIGURE"]
 
 
 def run(
@@ -33,3 +34,12 @@ def format_table(series: Dict[int, Dict[int, float]]) -> str:
         row = " ".join(f"{cf.get(k, 0.0):.3f}" for k in range(5))
         lines.append(f"{n:>3} {row}")
     return "\n".join(lines)
+
+
+#: The report runs 5,000 trials per n.
+FIGURE = Figure(
+    "Fig. 2 — Contention-free probabilities cf(n, k)",
+    "cf(n, 0) > 0.8 for n >= 6; cf(n, 1) drops sharply; cf(n, n-1) = 0.",
+    compute=lambda **grid: format_table(run(**grid)),
+    report_grid={"trials": 5000},
+)

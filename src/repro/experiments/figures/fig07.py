@@ -8,26 +8,28 @@ every map while keeping SRB comparable to C = 2 on dense maps.  Latency
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures.common import (
     PAPER_MAPS,
+    Figure,
     FigureResult,
-    run_series_points,
+    Panel,
+    run_panels,
 )
 
-__all__ = ["run", "FIXED_THRESHOLDS"]
+__all__ = ["run", "declare", "FIGURE", "FIXED_THRESHOLDS"]
 
 FIXED_THRESHOLDS = (2, 4, 6)
 
 
-def run(
+def declare(
     maps: Sequence[int] = PAPER_MAPS,
     num_broadcasts: int = 50,
     seed: int = 1,
     fixed_thresholds: Sequence[int] = FIXED_THRESHOLDS,
-) -> FigureResult:
+) -> List[Panel]:
     entries = [
         (
             f"C={threshold}",
@@ -55,6 +57,23 @@ def run(
         )
         for units in maps
     ]
-    return run_series_points(
-        FigureResult("Fig. 7: AC vs fixed counter", "map"), entries
-    )
+    return [Panel("Fig. 7: AC vs fixed counter", "map", entries)]
+
+
+def run(
+    maps: Sequence[int] = PAPER_MAPS,
+    num_broadcasts: int = 50,
+    seed: int = 1,
+    fixed_thresholds: Sequence[int] = FIXED_THRESHOLDS,
+) -> FigureResult:
+    return run_panels(declare(maps, num_broadcasts, seed, fixed_thresholds))[0]
+
+
+FIGURE = Figure(
+    "Fig. 7 — Adaptive counter vs fixed counter",
+    "C = 2 collapses on sparse maps, C = 6 wastes SRB everywhere, AC keeps "
+    "RE high with C = 2-like saving on dense maps; AC latency smallest on "
+    "dense maps.",
+    ("re", "srb", "latency"),
+    declare,
+)

@@ -7,16 +7,18 @@ The candidates are the ``(n1, n2)`` pairs of Fig. 8.  The paper finds
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures.common import (
     PAPER_MAPS,
+    Figure,
     FigureResult,
-    run_series_points,
+    Panel,
+    run_panels,
 )
 
-__all__ = ["run", "CANDIDATE_PAIRS"]
+__all__ = ["run", "declare", "FIGURE", "CANDIDATE_PAIRS"]
 
 CANDIDATE_PAIRS: Tuple[Tuple[int, int], ...] = (
     (2, 8),
@@ -28,12 +30,12 @@ CANDIDATE_PAIRS: Tuple[Tuple[int, int], ...] = (
 )
 
 
-def run(
+def declare(
     maps: Sequence[int] = PAPER_MAPS,
     pairs: Sequence[Tuple[int, int]] = CANDIDATE_PAIRS,
     num_broadcasts: int = 50,
     seed: int = 1,
-) -> FigureResult:
+) -> List[Panel]:
     entries = []
     for n1, n2 in pairs:
         for units in maps:
@@ -45,6 +47,20 @@ def run(
                 seed=seed,
             )
             entries.append((f"({n1},{n2})", units, config))
-    return run_series_points(
-        FigureResult("Fig. 9: A(n) candidates", "map"), entries
-    )
+    return [Panel("Fig. 9: A(n) candidates", "map", entries)]
+
+
+def run(
+    maps: Sequence[int] = PAPER_MAPS,
+    pairs: Sequence[Tuple[int, int]] = CANDIDATE_PAIRS,
+    num_broadcasts: int = 50,
+    seed: int = 1,
+) -> FigureResult:
+    return run_panels(declare(maps, pairs, num_broadcasts, seed))[0]
+
+
+FIGURE = Figure(
+    "Fig. 9 — A(n) candidates for the adaptive location scheme",
+    "(6,12), (8,12), (8,10) all satisfactory; (6,12) chosen.",
+    declare=declare,
+)

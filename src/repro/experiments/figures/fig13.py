@@ -13,17 +13,19 @@ strongest on dense maps, AC/AL on sparse maps.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures.common import (
     PAPER_MAPS,
+    Figure,
     FigureResult,
-    run_series_points,
+    Panel,
+    run_panels,
 )
 from repro.net.host import HelloConfig
 
-__all__ = ["run", "SCHEME_LINEUP"]
+__all__ = ["run", "declare", "FIGURE", "SCHEME_LINEUP"]
 
 
 def _dhi() -> HelloConfig:
@@ -43,12 +45,12 @@ SCHEME_LINEUP: Dict[str, Tuple[str, dict, HelloConfig]] = {
 }
 
 
-def run(
+def declare(
     maps: Sequence[int] = PAPER_MAPS,
     num_broadcasts: int = 50,
     seed: int = 1,
     lineup: Dict[str, Tuple[str, dict, HelloConfig]] = None,
-) -> FigureResult:
+) -> List[Panel]:
     """Series per scheme; x = map size.  Each (series, x) is one scatter
     point of the corresponding panel."""
     lineup = lineup or SCHEME_LINEUP
@@ -68,6 +70,21 @@ def run(
         for label, (scheme, params, hello) in lineup.items()
         for units in maps
     ]
-    return run_series_points(
-        FigureResult("Fig. 13: overall comparison", "map"), entries
-    )
+    return [Panel("Fig. 13: overall comparison", "map", entries)]
+
+
+def run(
+    maps: Sequence[int] = PAPER_MAPS,
+    num_broadcasts: int = 50,
+    seed: int = 1,
+    lineup: Dict[str, Tuple[str, dict, HelloConfig]] = None,
+) -> FigureResult:
+    return run_panels(declare(maps, num_broadcasts, seed, lineup))[0]
+
+
+FIGURE = Figure(
+    "Fig. 13 — Overall comparison",
+    "flooding SRB = 0 with suboptimal dense-map RE; adaptive schemes "
+    "upper-right; NC best dense, AC/AL best sparse.",
+    declare=declare,
+)

@@ -1,16 +1,19 @@
 """Parallel, cached experiment execution.
 
 The paper's figures aggregate thousands of *independent* simulation runs
-(one per seed per sweep point), which the sequential :func:`replicate` /
-:func:`run_sweep` pair executes one at a time on one core.  This module
-fans those runs out across a process pool and memoizes finished runs on
-disk, so regenerating a figure only simulates the seeds it has not seen.
+(one per seed per sweep point).  :meth:`ParallelRunner.run_many` is the
+one way to run a batch of them: inline with one worker, or fanned out
+across a process pool, with finished runs memoized on disk so
+regenerating a figure only simulates the seeds it has not seen.
 
 Guarantees
 ----------
 - **Determinism**: results come back in submission order regardless of
   which worker finished first, so confidence intervals are bit-identical
-  to the sequential path (simulations themselves are seed-deterministic).
+  to one worker's (simulations themselves are seed-deterministic).
+- **One run per scenario**: a batch simulates each distinct
+  :func:`config_digest` once, cache or no cache; every position holding
+  that config gets the same result object.
 - **Caching**: a result is keyed by a stable SHA-256 digest of the full
   :class:`ScenarioConfig` plus a code-relevant version tag
   (:data:`RESULT_CACHE_VERSION` and the package version), so stale caches
@@ -26,7 +29,9 @@ Guarantees
 Example::
 
     runner = ParallelRunner(max_workers=4, cache_dir=".repro-cache")
-    replicated = runner.replicate(config, seeds=[1, 2, 3, 4])
+    results = runner.run_many(
+        [config.with_overrides(seed=seed) for seed in (1, 2, 3, 4)]
+    )
     print(runner.perf)   # runs, cache hit-rate, events/sec, wall time
 """
 
@@ -42,23 +47,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Union,
-)
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.replication import (
-    ReplicatedResult,
-    aggregate,
-    check_seeds,
-)
 from repro.experiments.runner import SimulationResult, run_broadcast_simulation
 from repro.perf import KernelPerf
 
@@ -335,9 +326,11 @@ class PruneReport:
 class RunnerPerf:
     """Perf counters accumulated across a :class:`ParallelRunner`'s life."""
 
-    runs: int = 0  # results returned (simulated + cached)
+    #: Results returned: simulated + cache hits + the repeats of a
+    #: config within one batch, which share its single run.
+    runs: int = 0
     simulated: int = 0
-    cache_hits: int = 0
+    cache_hits: int = 0  # one per distinct config found in the cache
     wall_time: float = 0.0  # parent-side wall time across run_many calls
     sim_wall_time: float = 0.0  # summed per-run wall time (worker side)
     events: int = 0  # scheduler events across simulated runs
@@ -391,7 +384,7 @@ class ParallelRunner:
     ``max_workers=None`` uses ``os.cpu_count()``; ``max_workers=1`` (or a
     single-run batch) executes inline with no pool overhead.  Results are
     always returned in submission order, so anything computed from them is
-    bit-identical to the sequential path.
+    bit-identical whatever the worker count.
     """
 
     def __init__(
@@ -413,31 +406,37 @@ class ParallelRunner:
     def run_many(self, configs: Sequence[ScenarioConfig]) -> List[SimulationResult]:
         """Run every config, preserving order; cache-hit where possible.
 
-        Each finished result is cached the moment it is consumed, so a
-        :class:`KeyboardInterrupt` mid-batch loses only in-flight work:
-        pending futures are cancelled and :class:`ExecutionInterrupted`
-        is raised with the partial, order-aligned results.
+        Each distinct config (by :func:`config_digest`) is looked up and
+        simulated at most once per batch; its result fills every position
+        that holds it.  Each finished result is cached the moment it is
+        consumed, so a :class:`KeyboardInterrupt` mid-batch loses only
+        in-flight work: pending futures are cancelled and
+        :class:`ExecutionInterrupted` is raised with the partial,
+        order-aligned results.
         """
         start = time.perf_counter()
         configs = list(configs)
         results: List[Optional[SimulationResult]] = [None] * len(configs)
-        digests: List[Optional[str]] = [None] * len(configs)
-
-        to_run: List[int] = []
+        # digest -> the positions holding that config, first seen first
+        positions: Dict[str, List[int]] = {}
         for i, config in enumerate(configs):
-            digest = config_digest(config) if self.cache is not None else None
-            digests[i] = digest
-            cached = self.cache.get(digest) if digest is not None else None
-            if cached is not None:
-                results[i] = cached
-                self.perf.cache_hits += 1
-            else:
-                to_run.append(i)
+            positions.setdefault(config_digest(config), []).append(i)
 
-        executing = self._execute([configs[i] for i in to_run])
+        to_run: List[str] = []
+        for digest, held in positions.items():
+            cached = self.cache.get(digest) if self.cache is not None else None
+            if cached is None:
+                to_run.append(digest)
+                continue
+            self.perf.cache_hits += 1
+            for i in held:
+                results[i] = cached
+
+        executing = self._execute([configs[positions[d][0]] for d in to_run])
         try:
-            for i, result in zip(to_run, executing):
-                results[i] = result
+            for digest, result in zip(to_run, executing):
+                for i in positions[digest]:
+                    results[i] = result
                 # Throughput counters deliberately exclude cache hits: a
                 # cached result's wall_time is the *original* run's, so
                 # folding it in would skew events/sec (see perf tests).
@@ -445,8 +444,8 @@ class ParallelRunner:
                 self.perf.events += result.events_processed
                 self.perf.sim_wall_time += result.wall_time
                 self.perf.note_kernel(result.perf)
-                if self.cache is not None and digests[i] is not None:
-                    self.cache.put(digests[i], result)
+                if self.cache is not None:
+                    self.cache.put(digest, result)
         except KeyboardInterrupt:
             # Account for what did finish, then surface a resumable state
             # (completed results are already in the cache).  Closing the
@@ -489,41 +488,3 @@ class ParallelRunner:
             raise
         else:
             pool.shutdown(wait=True)
-
-    # ------------------------------------------------------ high level
-
-    def replicate(
-        self,
-        config: ScenarioConfig,
-        seeds: Sequence[int],
-        confidence: float = 0.95,
-    ) -> ReplicatedResult:
-        """Parallel drop-in for :func:`repro.experiments.replication.replicate`.
-
-        Same aggregation over the same per-seed results in the same order,
-        so the estimates are bit-identical to the sequential path.
-        """
-        check_seeds(seeds)
-        results = self.run_many(
-            [config.with_overrides(seed=seed) for seed in seeds]
-        )
-        return aggregate(config, results, confidence)
-
-    def run_sweep(
-        self,
-        configs: Iterable[ScenarioConfig],
-        progress: Optional[
-            Callable[[ScenarioConfig, SimulationResult], None]
-        ] = None,
-    ) -> List[SimulationResult]:
-        """Parallel drop-in for :func:`repro.experiments.runner.run_sweep`.
-
-        ``progress`` fires in submission order after all runs complete (a
-        pool cannot stream strictly ordered completions without stalling).
-        """
-        configs = list(configs)
-        results = self.run_many(configs)
-        if progress is not None:
-            for config, result in zip(configs, results):
-                progress(config, result)
-        return results

@@ -2,9 +2,11 @@
 
 The paper reports single numbers from very long runs (10,000 broadcasts);
 on reduced workloads the honest equivalent is several independent
-replications and a confidence interval.  :func:`replicate` runs the same
-scenario under different master seeds (each seed changes mobility, MAC
-backoff, scheme jitter and traffic together) and aggregates.
+replications and a confidence interval.  The same scenario runs under
+different master seeds (each seed changes mobility, MAC backoff, scheme
+jitter and traffic together), in one
+:meth:`~repro.experiments.parallel.ParallelRunner.run_many` batch, and
+:func:`aggregate` folds the per-seed results.
 """
 
 from __future__ import annotations
@@ -14,14 +16,13 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import SimulationResult, run_broadcast_simulation
+from repro.experiments.runner import SimulationResult
 
 __all__ = [
     "MetricEstimate",
     "ReplicatedResult",
     "aggregate",
     "check_seeds",
-    "replicate",
 ]
 
 
@@ -115,22 +116,3 @@ def check_seeds(seeds: Sequence[int]) -> None:
         raise ValueError("need at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"duplicate seeds in {seeds}")
-
-
-def replicate(
-    config: ScenarioConfig,
-    seeds: Sequence[int],
-    confidence: float = 0.95,
-) -> ReplicatedResult:
-    """Run ``config`` once per seed and aggregate RE/SRB/latency.
-
-    The ``seed`` field of ``config`` is ignored; each replication uses one
-    entry of ``seeds``.  (:class:`repro.experiments.parallel.ParallelRunner`
-    offers the same aggregation fanned out over worker processes.)
-    """
-    check_seeds(seeds)
-    results = [
-        run_broadcast_simulation(config.with_overrides(seed=seed))
-        for seed in seeds
-    ]
-    return aggregate(config, results, confidence)

@@ -1,11 +1,11 @@
-"""Run one scenario end to end (or a sweep of them)."""
+"""Run one scenario end to end."""
 
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.trace.recorder import TraceRecorder
@@ -26,11 +26,7 @@ from repro.sim.engine import Scheduler
 from repro.sim.randomness import RandomStreams
 from repro.telemetry.resources import ResourceMonitor, ResourceProfile
 
-__all__ = [
-    "SimulationResult",
-    "run_broadcast_simulation",
-    "run_sweep",
-]
+__all__ = ["SimulationResult", "run_broadcast_simulation"]
 
 
 @dataclass
@@ -232,17 +228,3 @@ def run_broadcast_simulation(
         perf=perf,
         resources=monitor.finish(wall_time),
     )
-
-
-def run_sweep(
-    configs: Iterable[ScenarioConfig],
-    progress: Optional[Callable[[ScenarioConfig, SimulationResult], None]] = None,
-) -> List[SimulationResult]:
-    """Run several scenarios sequentially, optionally reporting progress."""
-    results = []
-    for config in configs:
-        result = run_broadcast_simulation(config)
-        if progress is not None:
-            progress(config, result)
-        results.append(result)
-    return results

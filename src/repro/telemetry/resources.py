@@ -69,14 +69,6 @@ class ResourceProfile:
             "wall_time": self.wall_time,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ResourceProfile":
-        return cls(
-            peak_rss_bytes=data.get("peak_rss_bytes", 0),
-            gc_collections=data.get("gc_collections", 0),
-            wall_time=data.get("wall_time", 0.0),
-        )
-
     def merge(self, other: "ResourceProfile") -> "ResourceProfile":
         """Aggregate across runs: peaks max, counters sum; ``self``."""
         self.peak_rss_bytes = max(self.peak_rss_bytes, other.peak_rss_bytes)

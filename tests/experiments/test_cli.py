@@ -30,12 +30,22 @@ def test_run_command_prints_summary(capsys):
 def test_run_command_counter_threshold(capsys):
     exit_code = main(
         [
-            "run", "--scheme", "counter", "--counter-threshold", "2",
+            "run", "--scheme", "counter", "--scheme-param", "threshold=2",
             "--map", "3", "--hosts", "20", "--broadcasts", "3",
         ]
     )
     assert exit_code == 0
     assert "counter@3x3" in capsys.readouterr().out
+
+
+def test_run_threshold_flags_are_gone():
+    """``--scheme-param threshold=N`` replaces them, schema-checked."""
+    for flag, value in (("--counter-threshold", "2"),
+                        ("--location-threshold", "0.5")):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", flag, value])
+    with pytest.raises(SystemExit, match="no parameter 'threshold'"):
+        main(["run", "--scheme", "flooding", "--scheme-param", "threshold=3"])
 
 
 def test_run_command_perf_flag(capsys):
@@ -119,6 +129,82 @@ def test_sweep_command(capsys, tmp_path):
     runs = json.loads(json_path.read_text())
     assert len(runs) == 2  # one scheme x one map x two seeds
     assert {r["config"]["seed"] for r in runs} == {1, 2}
+
+
+def stub_run_many(monkeypatch):
+    """Replace the CLI's runner with one that records each batch and
+    returns placeholder results instead of simulating."""
+    from types import SimpleNamespace
+
+    from repro.experiments.parallel import ParallelRunner
+
+    batches = []
+
+    def run_many(self, configs):
+        batches.append(list(configs))
+        return [
+            SimpleNamespace(re=1.0, srb=0.0, latency=0.0, hellos=0)
+            for _ in configs
+        ]
+
+    monkeypatch.setattr(ParallelRunner, "run_many", run_many)
+    return batches
+
+
+def test_sweep_runs_the_whole_grid_as_one_batch(capsys, monkeypatch):
+    batches = stub_run_many(monkeypatch)
+    exit_code = main(
+        [
+            "sweep", "--schemes", "flooding", "counter", "--maps", "1", "5",
+            "--seeds", "1", "2", "--jobs", "2",
+        ]
+    )
+    assert exit_code == 0
+    assert len(batches) == 1
+    assert [(c.scheme, c.map_units, c.seed) for c in batches[0]] == [
+        (scheme, units, seed)
+        for scheme in ("flooding", "counter")
+        for units in (1, 5)
+        for seed in (1, 2)
+    ]
+    rows = capsys.readouterr().out.splitlines()[1:5]
+    assert [row.split()[:2] for row in rows] == [
+        ["flooding", "1"], ["flooding", "5"], ["counter", "1"], ["counter", "5"]
+    ]
+
+
+def test_sweep_rejects_duplicate_seeds():
+    with pytest.raises(SystemExit, match="duplicate seeds"):
+        main(["sweep", "--schemes", "flooding", "--seeds", "1", "1"])
+
+
+def test_figure_fig11_csv_keeps_every_panel(capsys, monkeypatch, tmp_path):
+    batches = stub_run_many(monkeypatch)
+    csv_path = tmp_path / "fig11.csv"
+    exit_code = main(
+        [
+            "figure", "fig11", "--maps", "5", "9", "--broadcasts", "1",
+            "--csv", str(csv_path),
+        ]
+    )
+    assert exit_code == 0
+    assert len(batches) == 1  # both panels in one batch
+    assert capsys.readouterr().out.count("wrote") == 1
+    lines = csv_path.read_text().splitlines()
+    assert lines[0].startswith("figure,series,km/h")
+    assert len(lines) == 1 + 2 * 20  # two panels x 5 intervals x 4 speeds
+    panels = {line.split(",")[0] for line in lines[1:]}
+    assert panels == {
+        "Fig. 11 (5x5): NC vs hello interval",
+        "Fig. 11 (9x9): NC vs hello interval",
+    }
+
+
+def test_figure_choices_come_from_the_figure_table():
+    from repro.experiments.figures import FIGURES
+
+    for name in FIGURES:
+        assert build_parser().parse_args(["figure", name]).name == name
 
 
 def test_figure_csv_flag(capsys, tmp_path):

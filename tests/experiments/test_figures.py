@@ -1,6 +1,7 @@
 """Figure drivers: smoke runs on minimal grids + result container logic."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,7 +16,12 @@ from repro.experiments.figures import (
     fig12,
     fig13,
 )
-from repro.experiments.figures.common import FigureResult, SeriesPoint
+from repro.experiments.figures.common import (
+    FigureResult,
+    SeriesPoint,
+    run_panels,
+    set_default_executor,
+)
 
 TINY = dict(num_broadcasts=2, seed=3)
 
@@ -101,3 +107,50 @@ class TestSimulationFigureSmoke:
         result = fig13.run(maps=(1,), lineup=lineup, **TINY)
         assert set(result.series) == {"flooding"}
         assert result.value_at("flooding", 1, "srb") == 0.0
+
+
+class TestRunPanels:
+    FLOODING = {"flooding": ("flooding", {}, fig13.SCHEME_LINEUP["flooding"][2])}
+
+    def test_panels_run_as_one_batch_in_declaration_order(self):
+        batches = []
+
+        class Recorder:
+            def run_many(self, configs):
+                batches.append(list(configs))
+                return [
+                    SimpleNamespace(re=c.map_units / 10, srb=0.0,
+                                    latency=0.0, hellos=0)
+                    for c in configs
+                ]
+
+        panels = fig11.declare(
+            maps=(5, 9), speeds=(20.0,), hello_intervals=(1.0, 10.0), **TINY
+        ) + fig13.declare(maps=(1,), lineup=self.FLOODING, **TINY)
+        previous = set_default_executor(Recorder())
+        try:
+            results = run_panels(panels)
+        finally:
+            set_default_executor(previous)
+        assert len(batches) == 1
+        assert len(batches[0]) == 2 + 2 + 1
+        assert [r.figure for r in results] == [p.title for p in panels]
+        assert results[0].values("hello=10s") == [0.5]
+        assert results[1].values("hello=1s") == [0.9]
+        assert results[2].values("flooding") == [0.1]
+
+    def test_inline_runner_simulates_a_shared_run_once(self, monkeypatch):
+        import repro.experiments.parallel as parallel_mod
+
+        simulated = []
+        real = parallel_mod.run_broadcast_simulation
+
+        def counting(config):
+            simulated.append(config)
+            return real(config)
+
+        monkeypatch.setattr(parallel_mod, "run_broadcast_simulation", counting)
+        panel = fig13.declare(maps=(1,), lineup=self.FLOODING, **TINY)
+        first, second = run_panels(panel + panel)
+        assert len(simulated) == 1
+        assert first.series == second.series

@@ -1,18 +1,13 @@
 """Result persistence."""
 
 import json
-import math
 
 import pytest
 
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures.common import FigureResult, SeriesPoint
 from repro.experiments.io import (
-    figure_result_from_dict,
     figure_result_to_csv,
-    figure_result_to_dict,
-    load_json,
-    result_from_dict,
     result_to_dict,
     save_json,
     scenario_from_dict,
@@ -49,64 +44,6 @@ def test_result_to_dict_roundtrips_through_json(small_result):
     assert decoded["channel"]["transmissions"] > 0
 
 
-def test_result_from_dict_is_a_fixed_point(small_result):
-    """to_dict(from_dict(to_dict(r))) == to_dict(r): the rebuilt result
-    carries everything the export format does."""
-    data = result_to_dict(small_result)
-    rebuilt = result_from_dict(json.loads(json.dumps(data)))
-    assert result_to_dict(rebuilt) == data
-
-
-def test_result_from_dict_rebuilds_headline_metrics(small_result):
-    rebuilt = result_from_dict(result_to_dict(small_result))
-    assert rebuilt.config.scheme == "flooding"
-    assert rebuilt.config.seed == small_result.config.seed
-    assert rebuilt.re == small_result.re
-    assert rebuilt.srb == small_result.srb
-    assert rebuilt.latency == small_result.latency
-    assert rebuilt.stats.reachability == small_result.stats.reachability
-    # Airtime totals survive under the sentinel host id.
-    ch = rebuilt.channel_stats
-    assert ch.total_tx_airtime == small_result.channel_stats.total_tx_airtime
-    assert ch.total_rx_airtime == small_result.channel_stats.total_rx_airtime
-    assert ch.transmissions == small_result.channel_stats.transmissions
-    # Perf metadata survives too.
-    assert rebuilt.perf == small_result.perf
-    assert rebuilt.wall_time == small_result.wall_time
-    assert rebuilt.events_per_sec == pytest.approx(
-        small_result.events_per_sec
-    )
-
-
-def test_result_from_dict_accepts_legacy_means_only_dict():
-    """Dicts written before the stats block existed load with the means
-    as degenerate SummaryStats and NaN metrics dropped."""
-    legacy = {
-        "config": {
-            "scheme": "flooding", "map_units": 1, "num_hosts": 5,
-            "num_broadcasts": 4, "seed": 2,
-        },
-        "metrics": {
-            "re": 0.9, "srb": math.nan, "latency": 0.01,
-            "hellos": 3, "broadcasts": 4,
-        },
-        "end_time": 10.0,
-        "events_processed": 123,
-    }
-    rebuilt = result_from_dict(legacy)
-    assert rebuilt.re == 0.9
-    assert rebuilt.stats.reachability.std == 0.0
-    assert rebuilt.stats.reachability.count == 4
-    assert math.isnan(rebuilt.srb)  # NaN mean -> stat dropped
-    assert rebuilt.latency == 0.01
-    # Fields the legacy dict predates come back at their defaults.
-    assert rebuilt.backoffs_started == 0
-    assert rebuilt.fault_trace == []
-    assert rebuilt.broadcasts_skipped == 0
-    assert rebuilt.perf is None
-    assert rebuilt.from_cache is False
-
-
 def test_result_cache_preserves_perf_metadata(tmp_path, small_result):
     """A cache round-trip keeps wall_time and the kernel counters, and
     marks the copy as cache-served."""
@@ -124,33 +61,35 @@ def test_result_cache_preserves_perf_metadata(tmp_path, small_result):
     assert result_to_dict(cached)["perf"]["from_cache"] is True
 
 
-def test_figure_result_json_roundtrip(figure):
-    data = figure_result_to_dict(figure)
-    rebuilt = figure_result_from_dict(json.loads(json.dumps(data)))
-    assert rebuilt.figure == figure.figure
-    assert rebuilt.series.keys() == figure.series.keys()
-    assert rebuilt.value_at("a", 5, "srb") == 0.3
-    assert rebuilt.series["a"][0].hellos == 7
-
-
-def test_save_and_load_json(tmp_path, figure):
-    path = tmp_path / "figure.json"
-    save_json(figure_result_to_dict(figure), path)
-    data = load_json(path)
-    assert figure_result_from_dict(data).value_at("b", 1, "re") == 0.8
+def test_save_and_load_json(tmp_path):
+    path = tmp_path / "doc.json"
+    data = {"runs": [1, 2], "name": "x"}
+    save_json(data, path)
+    text = path.read_text()
+    assert text.startswith('{\n  "name"')  # indented, keys sorted
+    assert json.loads(text) == data
 
 
 def test_csv_has_one_row_per_point(figure):
-    text = figure_result_to_csv(figure)
+    text = figure_result_to_csv([figure])
     lines = text.strip().splitlines()
     assert len(lines) == 1 + 3  # header + 3 points
     assert lines[0].startswith("figure,series,map")
     assert "Fig. X,a,1,0.95" in lines[1]
 
 
+def test_csv_holds_every_panel_under_one_header(figure):
+    other = FigureResult("Fig. Y", "map")
+    other.add("c", SeriesPoint(x=9, re=0.5, srb=0.1, latency=0.04))
+    lines = figure_result_to_csv([figure, other]).strip().splitlines()
+    assert len(lines) == 1 + 3 + 1
+    assert lines[0].startswith("figure,series,map")
+    assert lines[-1].startswith("Fig. Y,c,9,0.5")
+
+
 def test_write_figure_csv(tmp_path, figure):
     path = tmp_path / "figure.csv"
-    write_figure_csv(figure, path)
+    write_figure_csv([figure], path)
     assert path.read_text().count("\n") >= 4
 
 

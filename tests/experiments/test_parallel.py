@@ -10,8 +10,8 @@ from repro.experiments.parallel import (
     ResultCache,
     config_digest,
 )
-from repro.experiments.replication import replicate
-from repro.experiments.runner import run_broadcast_simulation, run_sweep
+from repro.experiments.replication import aggregate
+from repro.experiments.runner import run_broadcast_simulation
 from repro.faults.plan import ChurnProcess, FaultPlan
 
 
@@ -53,33 +53,86 @@ def assert_same_run(a, b):
 
 
 def test_replicate_matches_sequential():
+    """Seed replications aggregate identically inline and pooled."""
     config = small_config()
-    seeds = [1, 2, 3]
-    sequential = replicate(config, seeds=seeds)
-    parallel = ParallelRunner(max_workers=2).replicate(config, seeds=seeds)
-    assert parallel.re == sequential.re
-    assert parallel.srb == sequential.srb
-    assert parallel.latency == sequential.latency
-    for seq_run, par_run in zip(sequential.results, parallel.results):
-        assert_same_run(seq_run, par_run)
+    configs = [config.with_overrides(seed=seed) for seed in (1, 2, 3)]
+    inline = aggregate(config, ParallelRunner(max_workers=1).run_many(configs))
+    pooled = aggregate(config, ParallelRunner(max_workers=2).run_many(configs))
+    assert pooled.re == inline.re
+    assert pooled.srb == inline.srb
+    assert pooled.latency == inline.latency
+    for inline_run, pooled_run in zip(inline.results, pooled.results):
+        assert_same_run(inline_run, pooled_run)
 
 
-def test_run_sweep_matches_sequential_with_faults():
-    configs = [fault_config(seed=s) for s in (1, 2)]
-    sequential = run_sweep(configs)
-    parallel = ParallelRunner(max_workers=2).run_sweep(configs)
-    assert len(parallel) == len(sequential)
-    for seq_run, par_run in zip(sequential, parallel):
-        assert_same_run(seq_run, par_run)
+def test_pooled_batch_matches_inline_with_faults():
+    configs = [fault_config(seed=s) for s in (1, 2, 3)]
+    inline = ParallelRunner(max_workers=1).run_many(configs)
+    pooled = ParallelRunner(max_workers=2).run_many(configs)
+    assert [r.config.seed for r in pooled] == [1, 2, 3]  # submission order
+    assert len(pooled) == len(inline)
+    for inline_run, pooled_run in zip(inline, pooled):
+        assert_same_run(inline_run, pooled_run)
 
 
-def test_run_sweep_progress_fires_in_submission_order():
-    configs = [small_config(seed=s) for s in (1, 2, 3)]
-    seen = []
-    ParallelRunner(max_workers=2).run_sweep(
-        configs, progress=lambda c, r: seen.append(c.seed)
+# ---------------------------------------------------------- deduplication
+
+
+def counting_simulations(monkeypatch):
+    """Patch the inline simulation entry point to record each config."""
+    import repro.experiments.parallel as parallel_mod
+
+    simulated = []
+
+    def wrapper(config):
+        simulated.append(config)
+        return run_broadcast_simulation(config)
+
+    monkeypatch.setattr(parallel_mod, "run_broadcast_simulation", wrapper)
+    return simulated
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+def test_batch_simulates_each_digest_once(tmp_path, monkeypatch, cached):
+    simulated = counting_simulations(monkeypatch)
+    a, b = TINY, TINY.with_overrides(seed=2)
+    runner = ParallelRunner(
+        max_workers=1, cache_dir=tmp_path if cached else None
     )
-    assert seen == [1, 2, 3]
+    results = runner.run_many([a, b, a, a, b])
+    assert simulated == [a, b]  # first appearance order, once each
+    assert [r.config for r in results] == [a, b, a, a, b]
+    assert results[0] is results[2] is results[3]
+    assert results[1] is results[4]
+    assert results[0] == run_broadcast_simulation(a)
+    perf = runner.perf
+    assert (perf.runs, perf.simulated, perf.cache_hits) == (5, 2, 0)
+    if cached:
+        warm = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+        again = warm.run_many([b, a, b])
+        assert [r.config for r in again] == [b, a, b]
+        assert len(simulated) == 2  # nothing re-simulated
+        perf = warm.perf
+        assert (perf.runs, perf.simulated, perf.cache_hits) == (3, 0, 2)
+
+
+def test_interrupted_batch_fills_every_repeat_of_a_finished_config(
+    tmp_path, monkeypatch
+):
+    from repro.experiments.parallel import ExecutionInterrupted
+
+    a, b = small_config(seed=1), small_config(seed=2)
+    interrupting_runner(monkeypatch, 1)
+    runner = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+    with pytest.raises(ExecutionInterrupted) as excinfo:
+        runner.run_many([a, b, a, b])
+    exc = excinfo.value
+    assert exc.completed == 2
+    assert [r is not None for r in exc.results] == [True, False, True, False]
+    assert exc.results[0] is exc.results[2]
+    assert exc.results[0].config == a
+    assert runner.perf.simulated == 1
+    assert runner.perf.runs == 2
 
 
 # ----------------------------------------------------------------- cache

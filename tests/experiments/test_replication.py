@@ -5,7 +5,12 @@ import math
 import pytest
 
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.replication import MetricEstimate, replicate
+from repro.experiments.parallel import ParallelRunner
+from repro.experiments.replication import (
+    MetricEstimate,
+    aggregate,
+    check_seeds,
+)
 
 
 class TestMetricEstimate:
@@ -51,6 +56,17 @@ class TestMetricEstimate:
         assert "+/-" in str(MetricEstimate.of([0.5, 0.6]))
 
 
+def _replicate(config, seeds):
+    """One batch of seed replications, aggregated."""
+    check_seeds(seeds)
+    return aggregate(
+        config,
+        ParallelRunner(max_workers=1).run_many(
+            [config.with_overrides(seed=seed) for seed in seeds]
+        ),
+    )
+
+
 class TestReplicate:
     def _config(self):
         return ScenarioConfig(
@@ -58,23 +74,23 @@ class TestReplicate:
         )
 
     def test_runs_one_per_seed(self):
-        result = replicate(self._config(), seeds=[1, 2, 3])
+        result = _replicate(self._config(), seeds=[1, 2, 3])
         assert len(result.results) == 3
         assert result.re.samples == 3
         seeds = [r.config.seed for r in result.results]
         assert seeds == [1, 2, 3]
 
     def test_interval_contains_individual_means_center(self):
-        result = replicate(self._config(), seeds=[1, 2, 3])
+        result = _replicate(self._config(), seeds=[1, 2, 3])
         values = [r.re for r in result.results]
         assert result.re.mean == pytest.approx(sum(values) / 3)
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):
-            replicate(self._config(), seeds=[])
+            check_seeds([])
         with pytest.raises(ValueError):
-            replicate(self._config(), seeds=[1, 1])
+            check_seeds([1, 1])
 
     def test_summary_string(self):
-        result = replicate(self._config(), seeds=[1, 2])
+        result = _replicate(self._config(), seeds=[1, 2])
         assert "flooding@3x3" in result.summary()

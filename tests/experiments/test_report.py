@@ -31,13 +31,13 @@ def test_report_records_parameters():
 
 
 class _CollectingExecutor:
-    """Records every config it is handed and returns stub results."""
+    """Records every batch it is handed and returns stub results."""
 
     def __init__(self):
-        self.configs = []
+        self.batches = []
 
     def run_many(self, configs):
-        self.configs.extend(configs)
+        self.batches.append(list(configs))
         return [
             SimpleNamespace(re=1.0, srb=0.0, latency=0.0, hellos=0)
             for _ in configs
@@ -45,14 +45,18 @@ class _CollectingExecutor:
 
 
 def test_every_reduced_report_run_can_be_cached_and_pooled():
+    """The report hands its executor every run in one batch; the runs
+    the figures share have equal digests, so the runner simulates 99."""
     executor = _CollectingExecutor()
     previous = set_default_executor(executor)
     try:
         generate_report()
     finally:
         set_default_executor(previous)
-    digests = {config_digest(config) for config in executor.configs}
-    for config in executor.configs:
+    assert len(executor.batches) == 1
+    (configs,) = executor.batches
+    digests = {config_digest(config) for config in configs}
+    for config in configs:
         pickle.dumps(config)
-    assert len(executor.configs) == 123
+    assert len(configs) == 123
     assert len(digests) == 99

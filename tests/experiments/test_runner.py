@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import run_broadcast_simulation, run_sweep
+from repro.experiments.runner import run_broadcast_simulation
 
 
 def small(scheme="flooding", **overrides):
@@ -73,16 +73,6 @@ def test_no_hellos_for_flooding():
 def test_summary_line_format():
     line = run_broadcast_simulation(small()).summary()
     assert "RE=" in line and "SRB=" in line and "latency=" in line
-
-
-def test_run_sweep_with_progress():
-    seen = []
-    results = run_sweep(
-        [small(seed=1), small(seed=2)],
-        progress=lambda c, r: seen.append(c.seed),
-    )
-    assert len(results) == 2
-    assert seen == [1, 2]
 
 
 def test_channel_stats_exposed():

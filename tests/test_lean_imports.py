@@ -1,8 +1,11 @@
-"""Importing the simulator, its drivers and the CLI does not load scipy.
+"""Importing the simulator, its drivers and the CLI does not load scipy,
+and importing the figure drivers does not load multiprocessing.
 
 scipy is imported only inside the two Fig. 1 quadratures and the
 replication t quantile, so a process that only simulates, a figure
-driver or a campaign included, never pays for it.
+driver or a campaign included, never pays for it.  The figure drivers
+import the process-pool runner only when no executor is installed, so a
+process that installs its own (the benchmark) never loads the pool.
 """
 
 import os
@@ -21,10 +24,12 @@ MODULES = (
 )
 
 
-def test_importing_the_package_does_not_load_scipy():
-    code = "".join(f"import {module}\n" for module in MODULES) + (
+def loaded_after(modules, package):
+    """The ``package`` modules a fresh interpreter holds after importing
+    ``modules``."""
+    code = "".join(f"import {module}\n" for module in modules) + (
         "import sys\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],
@@ -33,4 +38,12 @@ def test_importing_the_package_does_not_load_scipy():
         text=True,
         check=True,
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_importing_the_package_does_not_load_scipy():
+    assert loaded_after(MODULES, "scipy") == "[]"
+
+
+def test_importing_the_figures_does_not_load_multiprocessing():
+    assert loaded_after(["repro.experiments.figures"], "multiprocessing") == "[]"
