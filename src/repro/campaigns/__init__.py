@@ -7,22 +7,14 @@ declarative, deterministic and crash-resumable:
 - :mod:`repro.campaigns.spec` -- the TOML/JSON campaign spec.
 - :mod:`repro.campaigns.planner` -- deterministic expansion into runs
   with stable ids and cache digests.
-- :mod:`repro.campaigns.checkpoint` -- JSONL progress log + atomic
-  manifest.
-- :mod:`repro.campaigns.queue` -- the work-queue executor (chunked
-  through :class:`~repro.experiments.parallel.ParallelRunner`, resumes
-  off the SHA-256 result cache with zero re-simulation).
+- :mod:`repro.campaigns.queue` -- the executor (each session is one
+  :class:`~repro.experiments.parallel.ParallelRunner` batch; the SHA-256
+  result cache is the only record of progress, so a rerun resumes with
+  zero re-simulation) and the atomic manifest.
 
 CLI: ``repro-manet campaign plan|run|status``.
 """
 
-from repro.campaigns.checkpoint import (
-    CheckpointRecord,
-    CheckpointWriter,
-    load_manifest,
-    load_records,
-    write_manifest,
-)
 from repro.campaigns.planner import (
     CampaignPlan,
     PlannedRun,
@@ -35,6 +27,8 @@ from repro.campaigns.queue import (
     CampaignOutcome,
     campaign_results_payload,
     campaign_status,
+    load_manifest,
+    write_manifest,
 )
 from repro.campaigns.spec import (
     GRID_AXES,
@@ -53,15 +47,12 @@ __all__ = [
     "CampaignOutcome",
     "CampaignPlan",
     "CampaignSpec",
-    "CheckpointRecord",
-    "CheckpointWriter",
     "PlannedRun",
     "SpecError",
     "axis_order",
     "campaign_results_payload",
     "campaign_status",
     "load_manifest",
-    "load_records",
     "load_spec",
     "plan_campaign",
     "spec_from_dict",

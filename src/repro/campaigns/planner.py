@@ -4,14 +4,14 @@ The planner turns a :class:`~repro.campaigns.spec.CampaignSpec` into an
 ordered list of :class:`PlannedRun`\\ s with **stable campaign-relative
 ids**: axes iterate in sorted name order with ``seed`` innermost, so the
 same spec always produces the same ``run-NNNNN`` -> scenario mapping, on
-any machine, in any session.  That stability is what lets a crashed
-campaign resume from its checkpoint: ``run-00042`` means the same
-simulation today and tomorrow.
+any machine, in any session: ``run-00042`` means the same simulation
+today and tomorrow.
 
 Each planned run also carries its :func:`config_digest`, the SHA-256
 key the :class:`~repro.experiments.parallel.ResultCache` stores results
-under -- the join key between a campaign's checkpoint and the cache, and
-between a campaign and every figure or CLI run of the same scenario.
+under.  The digest is what lets a crashed campaign resume from the
+cache, and what joins a campaign with every figure or CLI run of the
+same scenario.
 """
 
 from __future__ import annotations
@@ -54,15 +54,6 @@ class CampaignPlan:
     @property
     def total(self) -> int:
         return len(self.runs)
-
-    def by_id(self, run_id: str) -> PlannedRun:
-        try:
-            index = int(run_id.split("-", 1)[1])
-        except (IndexError, ValueError):
-            raise KeyError(run_id) from None
-        if not 0 <= index < len(self.runs):
-            raise KeyError(run_id)
-        return self.runs[index]
 
 
 def axis_order(spec: CampaignSpec) -> List[str]:

@@ -1,23 +1,27 @@
-"""Work-queue campaign executor with checkpointed crash-resume.
+"""Campaign executor: one cached batch per session, resumed from the cache.
 
-The executor walks a :class:`~repro.campaigns.planner.CampaignPlan` in
-checkpoint-sized chunks through a
-:class:`~repro.experiments.parallel.ParallelRunner`.  Every chunk
-boundary is a durability point: finished runs are appended to the JSONL
-checkpoint (fsync'd) and the manifest is atomically rewritten.  Because
-each run's result also lands in the SHA-256
-:class:`~repro.experiments.parallel.ResultCache` the instant it
-finishes, resume is trivial and exact:
+A session hands every run of a :class:`~repro.campaigns.planner.CampaignPlan`
+to one :meth:`~repro.experiments.parallel.ParallelRunner.run_many` call.
+Each run's result lands in the SHA-256
+:class:`~repro.experiments.parallel.ResultCache` the instant it finishes,
+so the cache is the campaign's only record of progress and resume is
+exact:
 
-1. re-expand the spec (deterministic ids),
-2. replay the checkpoint to see how far the campaign got,
-3. run the plan again -- completed digests come back as cache hits
+1. re-expand the spec (deterministic ids and digests),
+2. run the plan again -- completed digests come back as cache hits
    (zero re-simulation), holes actually execute.
+
+``manifest.json`` holds the campaign's identity, its run table, the
+absolute path of its cache and the session's status; it is replaced
+atomically, so readers never see a torn document.  ``campaign status``
+counts the run table's digests that the cache holds; after a cache
+prune or clear it reports fewer, and the next session simulates them
+again.
 
 Interrupts (Ctrl-C, SIGTERM via the CLI handler) surface as
 :class:`~repro.experiments.parallel.ExecutionInterrupted`; the executor
-flushes what finished and returns an ``interrupted`` outcome instead of
-tearing down mid-write.
+writes an ``interrupted`` manifest and returns the partial results
+instead of tearing down mid-write.
 
 The completed campaign's deterministic payload (per-run metrics and the
 per-grid-point aggregate; no wall-clock noise) is written to
@@ -27,22 +31,18 @@ byte-identical file to an uninterrupted one.
 
 from __future__ import annotations
 
-import math
+import json
+import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.campaigns.checkpoint import (
-    CheckpointRecord,
-    CheckpointWriter,
-    load_manifest,
-    load_records,
-    write_manifest,
-)
 from repro.campaigns.planner import CampaignPlan, PlannedRun
 from repro.experiments.parallel import (
     ExecutionInterrupted,
     ParallelRunner,
+    ResultCache,
     RunnerPerf,
 )
 from repro.experiments.replication import MetricEstimate, aggregate
@@ -55,11 +55,39 @@ __all__ = [
     "CampaignOutcome",
     "campaign_results_payload",
     "campaign_status",
+    "load_manifest",
+    "write_manifest",
 ]
 
 MANIFEST_NAME = "manifest.json"
-PROGRESS_NAME = "progress.jsonl"
 RESULTS_NAME = "results.json"
+
+
+def write_manifest(path: Union[str, Path], manifest: Dict[str, Any]) -> None:
+    """Atomically replace the manifest (readers never see a torn file)."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def load_manifest(path: Union[str, Path]) -> Optional[Dict[str, Any]]:
+    """The manifest dict, or ``None`` when the file does not exist."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return None
+    return json.loads(text)
 
 
 class CampaignMismatch(RuntimeError):
@@ -192,29 +220,25 @@ def campaign_results_payload(
 
 
 def campaign_status(directory: Union[str, Path]) -> Dict[str, Any]:
-    """Manifest + live checkpoint progress for a campaign directory.
+    """The manifest's state and how many of its runs the cache holds.
 
     Used by ``repro-manet campaign status``; raises ``FileNotFoundError``
-    when the directory holds no manifest.
+    when the directory holds no manifest.  Reads the cache without
+    creating it.
     """
     directory = Path(directory)
     manifest = load_manifest(directory / MANIFEST_NAME)
     if manifest is None:
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {directory}")
-    records = load_records(directory / PROGRESS_NAME)
-    done = sum(1 for r in records.values() if r.status == "done")
-    simulated = sum(
-        1 for r in records.values() if r.status == "done" and r.simulated
-    )
-    total = manifest.get("total_runs", 0)
+    cache = ResultCache(manifest["cache_dir"])
+    done = sum(1 for run in manifest["runs"] if run["digest"] in cache)
+    total = len(manifest["runs"])
     return {
         "campaign_id": manifest.get("campaign_id"),
         "name": manifest.get("name"),
         "status": manifest.get("status"),
         "total_runs": total,
         "completed_runs": done,
-        "simulated_runs": simulated,
-        "cached_runs": done - simulated,
         "progress": (done / total) if total else 0.0,
         "results_available": (directory / RESULTS_NAME).exists(),
     }
@@ -229,47 +253,28 @@ class CampaignExecutor:
         directory: Union[str, Path],
         max_workers: Optional[int] = None,
         cache_dir: Optional[Union[str, Path]] = None,
-        checkpoint_every: Optional[int] = None,
-        runner: Optional[ParallelRunner] = None,
         include_resources: bool = False,
     ) -> None:
         self.plan = plan
         self.directory = Path(directory)
         self.include_resources = include_resources
-        if runner is not None:
-            self.runner = runner
-        else:
-            self.runner = ParallelRunner(
-                max_workers=max_workers,
-                cache_dir=cache_dir or self.directory / "cache",
-            )
-        if self.runner.cache is None:
-            raise ValueError(
-                "campaigns need a result cache (it is the resume store); "
-                "pass cache_dir or a runner with one"
-            )
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
-        self.checkpoint_every = checkpoint_every or max(
-            4, 2 * (self.runner.max_workers or 1)
+        # Resolved, so the manifest names the same cache whatever the
+        # working directory of a later ``campaign status``.
+        self.runner = ParallelRunner(
+            max_workers=max_workers,
+            cache_dir=Path(cache_dir or self.directory / "cache").resolve(),
         )
 
-    # ----------------------------------------------------------- helpers
-
-    def _manifest(self, status: str, completed: int) -> Dict[str, Any]:
+    def _manifest(self, status: str) -> Dict[str, Any]:
         plan = self.plan
         return {
-            "manifest_version": 1,
+            "manifest_version": 2,
             "campaign_id": plan.campaign_id,
             "name": plan.spec.name,
             "spec": plan.spec.to_dict(),
             "spec_digest": plan.spec.digest(),
             "status": status,
             "total_runs": plan.total,
-            "completed_runs": completed,
-            "checkpoint_every": self.checkpoint_every,
             "cache_dir": str(self.runner.cache.directory),
             "runs": [
                 {
@@ -281,37 +286,17 @@ class CampaignExecutor:
             ],
         }
 
-    def _record(
-        self, planned: PlannedRun, result: SimulationResult
-    ) -> CheckpointRecord:
-        def clean(x: float) -> float:
-            return x if math.isfinite(x) else float("nan")
-
-        return CheckpointRecord(
-            run_id=planned.run_id,
-            digest=planned.digest,
-            status="done",
-            simulated=not result.from_cache,
-            re=clean(result.re),
-            srb=clean(result.srb),
-            latency=clean(result.latency),
-            events=result.events_processed,
-            wall_time=result.wall_time,
-        )
-
-    # -------------------------------------------------------------- run
-
     def run(
         self,
         progress: Optional[Callable[[PlannedRun, SimulationResult], None]] = None,
     ) -> CampaignOutcome:
-        """Execute every planned run not yet checkpointed; resume-safe.
+        """Run every planned run as one batch; resume-safe.
 
-        ``progress`` fires once per run as its chunk completes (both for
+        ``progress`` fires once per run as its result lands (both for
         fresh simulations and cache hits).  Returns an outcome whose
         ``status`` is ``"interrupted"`` when a ``KeyboardInterrupt`` /
         ``SIGTERM`` stopped the session early -- rerunning ``run()``
-        later picks up exactly where the checkpoint left off.
+        later simulates only the runs the cache does not hold.
         """
         plan = self.plan
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -324,84 +309,32 @@ class CampaignExecutor:
                     f"{existing.get('campaign_id')!r}, not {plan.campaign_id!r}"
                     " -- the spec changed; use a fresh directory"
                 )
-        recorded = load_records(self.directory / PROGRESS_NAME)
-        write_manifest(
-            manifest_path, self._manifest("running", len(recorded))
-        )
+        write_manifest(manifest_path, self._manifest("running"))
 
-        results: List[Optional[SimulationResult]] = [None] * plan.total
-        interrupted = False
-        with CheckpointWriter(self.directory / PROGRESS_NAME) as ckpt:
-            try:
-                for lo in range(0, plan.total, self.checkpoint_every):
-                    chunk = plan.runs[lo:lo + self.checkpoint_every]
-                    try:
-                        chunk_results = self.runner.run_many(
-                            [r.config for r in chunk]
-                        )
-                    except ExecutionInterrupted as exc:
-                        chunk_results = exc.results
-                        interrupted = True
-                    for planned, result in zip(chunk, chunk_results):
-                        if result is None:
-                            continue
-                        results[planned.index] = result
-                        if planned.run_id not in recorded:
-                            record = self._record(planned, result)
-                            ckpt.append(record)
-                            recorded[planned.run_id] = record
-                        if progress is not None:
-                            progress(planned, result)
-                    ckpt.flush()
-                    done = sum(
-                        1 for r in recorded.values() if r.status == "done"
-                    )
-                    write_manifest(
-                        manifest_path,
-                        self._manifest(
-                            "interrupted" if interrupted else "running", done
-                        ),
-                    )
-                    if interrupted:
-                        break
-            except KeyboardInterrupt:
-                # Interrupt between run_many calls (or during checkpoint
-                # bookkeeping): flush what we have and exit resumable.
-                interrupted = True
-                ckpt.flush()
-                write_manifest(
-                    manifest_path,
-                    self._manifest(
-                        "interrupted",
-                        sum(
-                            1 for r in recorded.values()
-                            if r.status == "done"
-                        ),
-                    ),
-                )
-
-        if interrupted:
-            return CampaignOutcome(
-                plan=plan,
-                directory=self.directory,
-                status="interrupted",
-                results=results,
-                perf=self.runner.perf,
+        landed = None
+        if progress is not None:
+            landed = lambda i, result: progress(plan.runs[i], result)
+        try:
+            results = self.runner.run_many(
+                [r.config for r in plan.runs], progress=landed
             )
+        except ExecutionInterrupted as exc:
+            results, status = exc.results, "interrupted"
+        else:
+            from repro.experiments.io import save_json
 
-        from repro.experiments.io import save_json
-
-        save_json(
-            campaign_results_payload(
-                plan, results, include_resources=self.include_resources
-            ),
-            self.directory / RESULTS_NAME,
-        )
-        write_manifest(manifest_path, self._manifest("complete", plan.total))
+            save_json(
+                campaign_results_payload(
+                    plan, results, include_resources=self.include_resources
+                ),
+                self.directory / RESULTS_NAME,
+            )
+            status = "complete"
+        write_manifest(manifest_path, self._manifest(status))
         return CampaignOutcome(
             plan=plan,
             directory=self.directory,
-            status="complete",
+            status=status,
             results=results,
             perf=self.runner.perf,
         )

@@ -19,12 +19,13 @@ fig09, fig10, fig11, fig12, fig13) as text tables, one per panel.
 
 ``figure`` and ``sweep`` accept ``--jobs N`` to fan independent runs
 across N worker processes (results stay bit-identical to ``--jobs 1``)
-and ``--cache-dir DIR`` to reuse finished runs across invocations;
-``--no-cache`` forces fresh simulation even when a cache dir is set.
+and ``--cache-dir DIR`` to reuse finished runs across invocations.
 
 ``campaign plan|run|status`` expands a declarative sweep spec into a
-resumable, checkpointed campaign (SIGTERM/Ctrl-C mid-flight exits with
-code 3 and ``campaign run`` later resumes without re-simulating);
+resumable campaign whose result cache records its progress
+(SIGTERM/Ctrl-C mid-flight exits with code 3 and ``campaign run`` later
+resumes without re-simulating; ``campaign status`` counts the cached
+runs);
 ``cache`` inspects, prunes or clears the shared on-disk result cache;
 ``bench record|check`` turns ``BENCH_*.json`` documents into a history
 trajectory and gates on throughput regressions against its rolling
@@ -162,9 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     crun_p.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="result cache (default: <dir>/cache; share one "
                         "across campaigns to dedup overlapping grids)")
-    crun_p.add_argument("--checkpoint-every", type=int, default=None,
-                        metavar="N", help="flush the progress checkpoint "
-                        "every N runs (default: 2x jobs, min 4)")
     crun_p.add_argument("--quiet", action="store_true",
                         help="no per-run progress lines")
     crun_p.add_argument("--resources", action="store_true",
@@ -313,8 +311,6 @@ def _add_exec_args(p: argparse.ArgumentParser) -> None:
                    "0 = one per CPU core)")
     p.add_argument("--cache-dir", metavar="DIR", default=None,
                    help="reuse finished runs from this on-disk result cache")
-    p.add_argument("--no-cache", action="store_true",
-                   help="always simulate, even when --cache-dir is set")
 
 
 def _make_executor(args: argparse.Namespace):
@@ -325,8 +321,20 @@ def _make_executor(args: argparse.Namespace):
     return ParallelRunner(
         max_workers=None if args.jobs == 0 else args.jobs,
         cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
     )
+
+
+def _profiled(args: argparse.Namespace, work):
+    """``work()``, under cProfile when ``--profile N`` was given, in which
+    case the top N functions are printed after it."""
+    if args.profile is None:
+        return work()
+    from repro.perf import format_profile, profiled
+
+    with profiled() as prof:
+        out = work()
+    print(format_profile(prof, top_n=args.profile))
+    return out
 
 
 def _print_perf(runner) -> None:
@@ -350,21 +358,28 @@ def _run_single(args: argparse.Namespace) -> int:
         except (ValueError, OSError) as exc:
             print(f"error: invalid --faults spec: {exc}", file=sys.stderr)
             return 2
-    config = ScenarioConfig(
-        scheme=args.scheme,
-        scheme_params=params,
-        map_units=args.map_units,
-        num_hosts=args.hosts,
-        num_broadcasts=args.broadcasts,
-        max_speed_kmh=args.speed,
-        hello=hello,
-        seed=args.seed,
-        faults=faults,
-    )
+    try:
+        config = ScenarioConfig(
+            scheme=args.scheme,
+            scheme_params=params,
+            map_units=args.map_units,
+            num_hosts=args.hosts,
+            num_broadcasts=args.broadcasts,
+            max_speed_kmh=args.speed,
+            hello=hello,
+            seed=args.seed,
+            faults=faults,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
     trace = None
     if args.trace is not None:
         from repro.trace import TraceRecorder
 
+        try:
+            trace = TraceRecorder(sample_dt=args.sample_dt)
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}")
         # Fail on an unwritable destination now, not after the whole
         # simulation has run.
         try:
@@ -373,18 +388,12 @@ def _run_single(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"error: cannot write --trace file: {exc}", file=sys.stderr)
             return 2
-        trace = TraceRecorder(sample_dt=args.sample_dt)
     elif args.sample_dt is not None:
         print("error: --sample-dt requires --trace", file=sys.stderr)
         return 2
-    if args.profile is not None:
-        from repro.perf import format_profile, profiled
-
-        with profiled() as prof:
-            result = run_broadcast_simulation(config, trace=trace)
-        print(format_profile(prof, top_n=args.profile))
-    else:
-        result = run_broadcast_simulation(config, trace=trace)
+    result = _profiled(
+        args, lambda: run_broadcast_simulation(config, trace=trace)
+    )
     print(result.summary())
     if trace is not None:
         if args.trace_format == "chrome":
@@ -424,42 +433,50 @@ def _run_single(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The ``figure`` flags that only a simulated figure reads.
+_SIMULATION_FLAGS = (
+    "--maps", "--broadcasts", "--chart", "--csv", "--jobs", "--cache-dir",
+)
+
+
 def _run_figure(args: argparse.Namespace) -> int:
     from repro.experiments.figures.common import set_default_executor
 
-    runner = _make_executor(args)
-    previous = set_default_executor(runner)
-    try:
-        if args.profile is not None:
-            from repro.perf import format_profile, profiled
-
-            with profiled() as prof:
-                _show_figure(args)
-            print(format_profile(prof, top_n=args.profile))
-        else:
-            _show_figure(args)
-    finally:
-        set_default_executor(previous)
-    if runner.perf.runs:
-        _print_perf(runner)
-    return 0
-
-
-def _show_figure(args: argparse.Namespace) -> None:
-    """Print a figure's tables (one per panel), with its chart and CSV."""
-    from repro.experiments.figures.common import run_panels
-
     figure = FIGURES[args.name]
     if figure.compute is not None:
-        print(figure.compute(seed=args.seed))
-        return
-    results = run_panels(
-        figure.declare(
+        defaults = build_parser().parse_args(["figure", args.name])
+        for flag in _SIMULATION_FLAGS:
+            dest = flag[2:].replace("-", "_")
+            if getattr(args, dest) != getattr(defaults, dest):
+                raise SystemExit(
+                    f"error: figure {args.name} runs no simulation and "
+                    f"takes no {flag}"
+                )
+        _profiled(args, lambda: print(figure.compute(seed=args.seed)))
+        return 0
+    try:
+        panels = figure.declare(
             maps=tuple(args.maps) if args.maps else figure.maps,
             num_broadcasts=args.broadcasts,
             seed=args.seed,
         )
-    )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+    runner = _make_executor(args)
+    previous = set_default_executor(runner)
+    try:
+        _profiled(args, lambda: _show_figure(args, figure, panels))
+    finally:
+        set_default_executor(previous)
+    _print_perf(runner)
+    return 0
+
+
+def _show_figure(args: argparse.Namespace, figure, panels) -> None:
+    """Print a figure's tables (one per panel), with its chart and CSV."""
+    from repro.experiments.figures.common import run_panels
+
+    results = run_panels(panels)
     for k, result in enumerate(results):
         if k:
             print()
@@ -493,16 +510,19 @@ def _run_sweep(args: argparse.Namespace) -> int:
     for scheme in args.schemes:
         # Validated per scheme: every swept scheme must accept every key.
         params = _parse_scheme_params(scheme, args.scheme_param)
-        cells += [
-            ScenarioConfig(
-                scheme=scheme,
-                scheme_params=params,
-                map_units=units,
-                num_hosts=args.hosts,
-                num_broadcasts=args.broadcasts,
-            )
-            for units in args.maps
-        ]
+        try:
+            cells += [
+                ScenarioConfig(
+                    scheme=scheme,
+                    scheme_params=params,
+                    map_units=units,
+                    num_hosts=args.hosts,
+                    num_broadcasts=args.broadcasts,
+                )
+                for units in args.maps
+            ]
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}")
     print(
         f"{'scheme':<20} {'map':>4} {'RE':>16} {'SRB':>16} {'latency':>10}"
     )
@@ -604,7 +624,6 @@ def _campaign_run_cmd(args: argparse.Namespace) -> int:
         directory,
         max_workers=None if args.jobs == 0 else args.jobs,
         cache_dir=args.cache_dir,
-        checkpoint_every=args.checkpoint_every,
         include_resources=args.resources,
     )
 
@@ -636,7 +655,7 @@ def _campaign_run_cmd(args: argparse.Namespace) -> int:
     if outcome.resumable:
         print(
             f"interrupted at {outcome.completed}/{plan.total} runs; "
-            f"checkpoint flushed -- rerun the same command to resume"
+            "finished runs are cached -- rerun the same command to resume"
         )
         return 3
     print(f"complete: {plan.total} runs; results in {directory}/results.json")
@@ -652,7 +671,7 @@ def _campaign_status_cmd(args: argparse.Namespace) -> int:
         raise SystemExit(f"error: {exc}")
     for key in (
         "campaign_id", "name", "status", "total_runs", "completed_runs",
-        "simulated_runs", "cached_runs", "results_available",
+        "results_available",
     ):
         print(f"{key:<18} {status[key]}")
     print(f"{'progress':<18} {status['progress']:.1%}")
@@ -708,9 +727,9 @@ def _cache_cmd(args: argparse.Namespace) -> int:
     try:
         max_bytes = parse_size(args.max_bytes) if args.max_bytes else None
         max_age = parse_age(args.max_age) if args.max_age else None
+        report = cache.prune(max_bytes=max_bytes, max_age=max_age)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    report = cache.prune(max_bytes=max_bytes, max_age=max_age)
     print(
         f"removed {report.removed} entries "
         f"({_format_bytes(report.freed_bytes)}); "

@@ -23,8 +23,8 @@ Guarantees
   translated by the CLI) no longer tears the pool down mid-write.
   Completed results are already in the cache; pending work is cancelled
   and :class:`ExecutionInterrupted` is raised carrying the partial,
-  submission-order-aligned results so callers (the campaign executor)
-  can flush a checkpoint and exit in a resumable state.
+  submission-order-aligned results, so callers (the campaign executor)
+  can exit in a state that a rerun of the same batch resumes.
 
 Example::
 
@@ -47,7 +47,16 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    List,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import SimulationResult, run_broadcast_simulation
@@ -141,8 +150,10 @@ class ResultCache:
     """On-disk store of pickled :class:`SimulationResult`\\ s by digest."""
 
     def __init__(self, cache_dir: Union[str, Path]) -> None:
+        # The directory is made by the first put, so reading a cache that
+        # does not exist (``campaign status``, ``cache stats``) creates
+        # nothing.
         self._dir = Path(cache_dir)
-        self._dir.mkdir(parents=True, exist_ok=True)
 
     @property
     def directory(self) -> Path:
@@ -150,6 +161,10 @@ class ResultCache:
 
     def _path(self, digest: str) -> Path:
         return self._dir / f"{digest}.pkl"
+
+    def __contains__(self, digest: str) -> bool:
+        """Whether an entry is stored under ``digest`` (not unpickled)."""
+        return self._path(digest).exists()
 
     def get(self, digest: str) -> Optional[SimulationResult]:
         """The cached result, or ``None`` on miss.
@@ -194,6 +209,7 @@ class ResultCache:
     def put(self, digest: str, result: SimulationResult) -> None:
         """Store atomically (tmp + rename) so concurrent runners never
         observe a torn entry."""
+        self._dir.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=str(self._dir), suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
@@ -391,26 +407,29 @@ class ParallelRunner:
         self,
         max_workers: Optional[int] = None,
         cache_dir: Optional[Union[str, Path]] = None,
-        use_cache: bool = True,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = max_workers
-        self.cache = (
-            ResultCache(cache_dir) if (cache_dir and use_cache) else None
-        )
+        self.cache = ResultCache(cache_dir) if cache_dir else None
         self.perf = RunnerPerf()
 
     # ------------------------------------------------------------- core
 
-    def run_many(self, configs: Sequence[ScenarioConfig]) -> List[SimulationResult]:
+    def run_many(
+        self,
+        configs: Sequence[ScenarioConfig],
+        progress: Optional[Callable[[int, SimulationResult], None]] = None,
+    ) -> List[SimulationResult]:
         """Run every config, preserving order; cache-hit where possible.
 
         Each distinct config (by :func:`config_digest`) is looked up and
         simulated at most once per batch; its result fills every position
-        that holds it.  Each finished result is cached the moment it is
-        consumed, so a :class:`KeyboardInterrupt` mid-batch loses only
-        in-flight work: pending futures are cancelled and
+        that holds it.  ``progress(i, result)`` is called as the result
+        for position ``i`` lands: cache hits first, then simulated runs
+        in submission order.  Each simulated result is cached before its
+        positions are filled, so a :class:`KeyboardInterrupt` mid-batch
+        loses only in-flight work: pending futures are cancelled and
         :class:`ExecutionInterrupted` is raised with the partial,
         order-aligned results.
         """
@@ -422,21 +441,29 @@ class ParallelRunner:
         for i, config in enumerate(configs):
             positions.setdefault(config_digest(config), []).append(i)
 
-        to_run: List[str] = []
-        for digest, held in positions.items():
-            cached = self.cache.get(digest) if self.cache is not None else None
-            if cached is None:
-                to_run.append(digest)
-                continue
-            self.perf.cache_hits += 1
-            for i in held:
-                results[i] = cached
+        def land(digest: str, result: SimulationResult) -> None:
+            for i in positions[digest]:
+                results[i] = result
+                if progress is not None:
+                    progress(i, result)
 
-        executing = self._execute([configs[positions[d][0]] for d in to_run])
+        executing: Optional[Generator[SimulationResult, None, None]] = None
         try:
+            to_run: List[str] = []
+            for digest in positions:
+                cached = (
+                    self.cache.get(digest) if self.cache is not None else None
+                )
+                if cached is None:
+                    to_run.append(digest)
+                else:
+                    self.perf.cache_hits += 1
+                    land(digest, cached)
+
+            executing = self._execute(
+                [configs[positions[d][0]] for d in to_run]
+            )
             for digest, result in zip(to_run, executing):
-                for i in positions[digest]:
-                    results[i] = result
                 # Throughput counters deliberately exclude cache hits: a
                 # cached result's wall_time is the *original* run's, so
                 # folding it in would skew events/sec (see perf tests).
@@ -446,11 +473,13 @@ class ParallelRunner:
                 self.perf.note_kernel(result.perf)
                 if self.cache is not None:
                     self.cache.put(digest, result)
+                land(digest, result)
         except KeyboardInterrupt:
             # Account for what did finish, then surface a resumable state
             # (completed results are already in the cache).  Closing the
             # generator cancels any still-queued pool work.
-            executing.close()
+            if executing is not None:
+                executing.close()
             self.perf.runs += sum(1 for r in results if r is not None)
             self.perf.wall_time += time.perf_counter() - start
             raise ExecutionInterrupted(results) from None
@@ -461,7 +490,7 @@ class ParallelRunner:
 
     def _execute(
         self, configs: List[ScenarioConfig]
-    ) -> Iterable[SimulationResult]:
+    ) -> Generator[SimulationResult, None, None]:
         """Simulate ``configs``, yielding results in submission order.
 
         Pools across processes when more than one config and worker are

@@ -143,7 +143,7 @@ def load_history(
     """History entries in append order, optionally for one bench name.
 
     A torn final line (crash mid-append) is dropped; corruption earlier
-    in the file raises, mirroring the campaign checkpoint loader.
+    in the file raises.
     """
     path = Path(history_path)
     try:

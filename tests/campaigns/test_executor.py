@@ -1,19 +1,22 @@
-"""Work-queue executor: checkpointing, resume, interrupts, payloads."""
+"""Campaign executor: one batch per session, resume, interrupts, status
+from the cache, manifest, payloads."""
 
 import json
 
 import pytest
 
 import repro.experiments.parallel as parallel_mod
-from repro.campaigns.checkpoint import load_manifest, load_records
 from repro.campaigns.planner import plan_campaign
 from repro.campaigns.queue import (
     CampaignExecutor,
     CampaignMismatch,
     campaign_results_payload,
     campaign_status,
+    load_manifest,
+    write_manifest,
 )
 from repro.campaigns.spec import spec_from_dict
+from repro.experiments.parallel import ParallelRunner, ResultCache
 from repro.experiments.runner import run_broadcast_simulation
 
 
@@ -35,7 +38,6 @@ def tiny_plan():
 
 def make_executor(tmp_path, plan, **kwargs):
     kwargs.setdefault("max_workers", 1)
-    kwargs.setdefault("checkpoint_every", 2)
     return CampaignExecutor(plan, tmp_path / "camp", **kwargs)
 
 
@@ -68,13 +70,15 @@ def test_complete_campaign_writes_everything(tmp_path):
     directory = outcome.directory
     manifest = load_manifest(directory / "manifest.json")
     assert manifest["status"] == "complete"
-    assert manifest["completed_runs"] == 3
+    assert manifest["cache_dir"] == str((directory / "cache").resolve())
     assert [r["run_id"] for r in manifest["runs"]] == [
         r.run_id for r in plan.runs
     ]
-    assert set(load_records(directory / "progress.jsonl")) == {
-        r.run_id for r in plan.runs
-    }
+    cache = ResultCache(manifest["cache_dir"])
+    assert all(r.digest in cache for r in plan.runs)
+    assert sorted(p.name for p in directory.iterdir()) == [
+        "cache", "manifest.json", "results.json",
+    ]
     payload = json.loads((directory / "results.json").read_text())
     assert payload["completed_runs"] == 3
     assert payload["missing"] == []
@@ -109,17 +113,30 @@ def test_changed_spec_same_directory_rejected(tmp_path):
         make_executor(tmp_path, other).run()
 
 
-def test_executor_requires_a_cache(tmp_path):
-    plan = plan_campaign(tiny_spec())
-    runner = parallel_mod.ParallelRunner(max_workers=1)  # no cache
-    with pytest.raises(ValueError, match="result cache"):
-        CampaignExecutor(plan, tmp_path / "camp", runner=runner)
+def test_session_is_one_batch_of_every_planned_run(tmp_path, monkeypatch):
+    batches = []
+    run_many = ParallelRunner.run_many
+
+    def recording(self, configs, *args, **kwargs):
+        batches.append(list(configs))
+        return run_many(self, configs, *args, **kwargs)
+
+    monkeypatch.setattr(ParallelRunner, "run_many", recording)
+    plan = plan_campaign(tiny_spec(grid={
+        "scheme": ["flooding"], "seed": [1, 2, 3, 4, 5, 6],
+    }))
+    assert make_executor(tmp_path, plan).run().status == "complete"
+    assert batches == [[r.config for r in plan.runs]]
 
 
-def test_checkpoint_every_validated(tmp_path):
-    plan = plan_campaign(tiny_spec())
-    with pytest.raises(ValueError, match="checkpoint_every"):
-        make_executor(tmp_path, plan, checkpoint_every=0)
+def test_manifest_round_trip_and_atomicity(tmp_path):
+    path = tmp_path / "manifest.json"
+    assert load_manifest(path) is None
+    write_manifest(path, {"campaign_id": "x", "status": "running"})
+    write_manifest(path, {"campaign_id": "x", "status": "complete"})
+    assert load_manifest(path)["status"] == "complete"
+    # No temp droppings left behind by the atomic replace.
+    assert list(tmp_path.iterdir()) == [path]
 
 
 # ------------------------------------------------------------ interrupt
@@ -136,8 +153,8 @@ def test_interrupt_flushes_resumable_state(tmp_path, monkeypatch):
 
     directory = outcome.directory
     assert load_manifest(directory / "manifest.json")["status"] == "interrupted"
-    records = load_records(directory / "progress.jsonl")
-    assert set(records) == {"run-00000", "run-00001"}
+    cache = ResultCache(directory / "cache")
+    assert [r.digest in cache for r in plan.runs] == [True, True, False]
     assert not (directory / "results.json").exists()
     status = campaign_status(directory)
     assert status["status"] == "interrupted"
@@ -157,12 +174,60 @@ def test_resume_after_interrupt_simulates_only_holes(tmp_path, monkeypatch):
     second = make_executor(tmp_path, plan)
     outcome = second.run()
     assert outcome.status == "complete"
-    # Zero duplicate executions: the checkpointed run returns via cache.
+    # Zero duplicate executions: the finished run returns via cache.
     assert second.runner.perf.simulated == plan.total - 1
     assert second.runner.perf.cache_hits == 1
     assert load_manifest(
         outcome.directory / "manifest.json"
     )["status"] == "complete"
+
+
+# ---------------------------------------------------------------- status
+
+
+def finished_then_cleared(tmp_path):
+    """A finished campaign whose cache has since been cleared."""
+    plan = plan_campaign(tiny_spec())
+    make_executor(tmp_path, plan).run()
+    directory = tmp_path / "camp"
+    assert campaign_status(directory)["completed_runs"] == plan.total
+    assert ResultCache(directory / "cache").clear() == plan.total
+    return plan, directory
+
+
+def test_status_follows_a_cleared_cache(tmp_path):
+    plan, directory = finished_then_cleared(tmp_path)
+    status = campaign_status(directory)
+    assert status["completed_runs"] == 0
+    assert status["progress"] == 0.0
+
+    rerun = make_executor(tmp_path, plan)
+    assert rerun.run().status == "complete"
+    assert rerun.runner.perf.simulated == plan.total
+    assert rerun.runner.perf.cache_hits == 0
+    assert campaign_status(directory)["completed_runs"] == plan.total
+
+
+def test_status_after_an_interrupt_counts_the_cached_runs(
+    tmp_path, monkeypatch
+):
+    plan, directory = finished_then_cleared(tmp_path)
+    interrupt_after(monkeypatch, 2)
+    assert make_executor(tmp_path, plan).run().status == "interrupted"
+    status = campaign_status(directory)
+    assert status["status"] == "interrupted"
+    assert status["completed_runs"] == 2
+
+
+def test_status_reads_the_cache_without_creating_it(tmp_path):
+    import shutil
+
+    plan = plan_campaign(tiny_spec())
+    make_executor(tmp_path, plan).run()
+    directory = tmp_path / "camp"
+    shutil.rmtree(directory / "cache")
+    assert campaign_status(directory)["completed_runs"] == 0
+    assert not (directory / "cache").exists()
 
 
 # --------------------------------------------------------------- payload

@@ -83,14 +83,6 @@ def test_invalid_grid_point_names_the_point():
                                       "num_hosts": [0]}))
 
 
-def test_by_id_lookup():
-    plan = plan_campaign(make_spec())
-    assert plan.by_id("run-00003") is plan.runs[3]
-    with pytest.raises(KeyError):
-        plan.by_id("run-99999")
-    with pytest.raises(KeyError):
-        plan.by_id("nonsense")
-
 
 def test_campaign_id_tracks_spec_digest():
     a = plan_campaign(make_spec())

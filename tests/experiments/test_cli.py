@@ -92,6 +92,23 @@ def test_figure_fig02(capsys):
     assert "cf(n, k)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", [
+    ["--maps", "3"], ["--broadcasts", "5"], ["--chart"], ["--csv", "x.csv"],
+    ["--jobs", "2"], ["--cache-dir", "fc"],
+], ids=lambda flag: flag[0])
+@pytest.mark.parametrize("name", ["fig01", "fig02"])
+def test_analytic_figures_refuse_simulation_flags(
+    tmp_path, monkeypatch, name, flag
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["figure", name, *flag])
+    message = str(excinfo.value.code)
+    assert message.startswith("error: ") and "\n" not in message
+    assert flag[0] in message
+    assert list(tmp_path.iterdir()) == []  # no CSV, no cache directory
+
+
 def test_figure_simulation_with_reduced_grid(capsys):
     exit_code = main(
         ["figure", "fig07", "--broadcasts", "2", "--maps", "1"]
@@ -171,6 +188,30 @@ def test_sweep_runs_the_whole_grid_as_one_batch(capsys, monkeypatch):
     assert [row.split()[:2] for row in rows] == [
         ["flooding", "1"], ["flooding", "5"], ["counter", "1"], ["counter", "5"]
     ]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--hosts", "0"], "num_hosts must be >= 1"),
+    (["run", "--map", "0"], "map_units must be >= 1"),
+    (["run", "--broadcasts", "-1"], "num_broadcasts must be >= 0"),
+    (["sweep", "--maps", "0"], "map_units must be >= 1"),
+    (["figure", "fig13", "--maps", "0"], "map_units must be >= 1"),
+    (["figure", "fig13", "--broadcasts", "-1"], "num_broadcasts must be >= 0"),
+    (["run", "--trace", "{tmp}/t.jsonl", "--sample-dt", "-1"],
+     "sample_dt must be >= 0"),
+    (["cache", "prune", "--cache-dir", "{tmp}/d", "--max-bytes", "-5"],
+     "max_bytes must be >= 0"),
+], ids=[
+    "run-hosts", "run-map", "run-broadcasts", "sweep-maps", "figure-maps",
+    "figure-broadcasts", "run-sample-dt", "prune-max-bytes",
+])
+def test_out_of_range_values_end_in_one_error_line(tmp_path, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main([arg.format(tmp=tmp_path) for arg in argv])
+    text = str(excinfo.value.code)
+    assert text.startswith("error: ") and "\n" not in text
+    assert message in text
+    assert list(tmp_path.iterdir()) == []  # nothing written
 
 
 def test_sweep_rejects_duplicate_seeds():
@@ -291,6 +332,30 @@ def test_campaign_run_and_status(capsys, tmp_path, spec_path):
         "--dir", str(directory), "--jobs", "1",
     ]) == 0
     assert "(cache)" in capsys.readouterr().out
+
+
+def status_fields(text):
+    return dict(line.split(None, 1) for line in text.splitlines())
+
+
+def test_campaign_status_from_another_working_directory(
+    capsys, tmp_path, spec_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "campaign", "run", str(spec_path), "--dir", "camp",
+        "--cache-dir", "cdir/cache", "--quiet",
+    ]) == 0
+    capsys.readouterr()
+    assert main(["campaign", "status", "camp"]) == 0
+    here = status_fields(capsys.readouterr().out)
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["campaign", "status", str(tmp_path / "camp")]) == 0
+    there = status_fields(capsys.readouterr().out)
+    assert there["completed_runs"] == here["completed_runs"] == "2"
+    assert list(elsewhere.iterdir()) == []
 
 
 def test_campaign_run_quiet(capsys, tmp_path, spec_path):

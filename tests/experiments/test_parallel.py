@@ -116,6 +116,21 @@ def test_batch_simulates_each_digest_once(tmp_path, monkeypatch, cached):
         assert (perf.runs, perf.simulated, perf.cache_hits) == (3, 0, 2)
 
 
+def test_progress_fires_for_every_position_as_its_result_lands(tmp_path):
+    a, b = small_config(seed=1), small_config(seed=2)
+    ParallelRunner(max_workers=1, cache_dir=tmp_path).run_many([b])
+    seen = []
+    runner = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+    results = runner.run_many(
+        [a, b, a], progress=lambda i, result: seen.append((i, result))
+    )
+    # The cache hit lands first, then the one simulation fills both of
+    # its positions.
+    assert [i for i, _ in seen] == [1, 0, 2]
+    assert all(results[i] is result for i, result in seen)
+    assert [result.from_cache for _, result in seen] == [True, False, False]
+
+
 def test_interrupted_batch_fills_every_repeat_of_a_finished_config(
     tmp_path, monkeypatch
 ):
@@ -154,15 +169,6 @@ def test_cache_round_trip_returns_equal_result(tmp_path):
     assert cached == fresh
     assert cached == run_broadcast_simulation(config)
     assert_same_run(cached, fresh)
-
-
-def test_no_cache_flag_disables_lookup(tmp_path):
-    config = small_config()
-    ParallelRunner(max_workers=1, cache_dir=tmp_path).run_many([config])
-    runner = ParallelRunner(max_workers=1, cache_dir=tmp_path, use_cache=False)
-    runner.run_many([config])
-    assert runner.perf.cache_hits == 0
-    assert runner.perf.simulated == 1
 
 
 def test_digest_distinguishes_configs_and_is_stable():
@@ -237,10 +243,13 @@ def test_cache_missing_entry_is_plain_miss(tmp_path):
 
 def test_cache_clear(tmp_path):
     runner = ParallelRunner(max_workers=1, cache_dir=tmp_path)
-    runner.run_many([small_config(seed=s) for s in (1, 2)])
+    configs = [small_config(seed=s) for s in (1, 2)]
+    runner.run_many(configs)
     assert len(runner.cache) == 2
+    assert all(config_digest(c) in runner.cache for c in configs)
     assert runner.cache.clear() == 2
     assert len(runner.cache) == 0
+    assert not any(config_digest(c) in runner.cache for c in configs)
 
 
 # ------------------------------------------------------------------ perf

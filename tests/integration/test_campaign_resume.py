@@ -58,7 +58,7 @@ def test_interrupt_resume_bit_identical(tmp_path, monkeypatch, stop_after):
 
     interrupt_after(monkeypatch, stop_after)
     first = CampaignExecutor(
-        plan, tmp_path / "campaign", max_workers=1, checkpoint_every=2
+        plan, tmp_path / "campaign", max_workers=1
     )
     outcome = first.run()
     assert outcome.status == "interrupted"
@@ -69,7 +69,7 @@ def test_interrupt_resume_bit_identical(tmp_path, monkeypatch, stop_after):
         parallel_mod, "run_broadcast_simulation", run_broadcast_simulation
     )
     second = CampaignExecutor(
-        plan, tmp_path / "campaign", max_workers=1, checkpoint_every=2
+        plan, tmp_path / "campaign", max_workers=1
     )
     resumed = second.run()
     assert resumed.status == "complete"
@@ -89,7 +89,7 @@ def test_double_interrupt_then_resume(tmp_path, monkeypatch):
     for budget in (2, 2):
         interrupt_after(monkeypatch, budget)
         outcome = CampaignExecutor(
-            plan, tmp_path / "campaign", max_workers=1, checkpoint_every=1
+            plan, tmp_path / "campaign", max_workers=1
         ).run()
         assert outcome.status == "interrupted"
 
@@ -97,7 +97,7 @@ def test_double_interrupt_then_resume(tmp_path, monkeypatch):
         parallel_mod, "run_broadcast_simulation", run_broadcast_simulation
     )
     final = CampaignExecutor(
-        plan, tmp_path / "campaign", max_workers=1, checkpoint_every=1
+        plan, tmp_path / "campaign", max_workers=1
     )
     outcome = final.run()
     assert outcome.status == "complete"

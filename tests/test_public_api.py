@@ -44,7 +44,7 @@ def test_all_subpackages_importable():
         "repro.experiments.replication", "repro.experiments.report",
         "repro.experiments.topologies",
         "repro.campaigns.spec", "repro.campaigns.planner",
-        "repro.campaigns.checkpoint", "repro.campaigns.queue",
+        "repro.campaigns.queue",
         "repro.telemetry", "repro.telemetry.resources",
         "repro.telemetry.bench",
     ):
