@@ -19,14 +19,17 @@ prune or clear it reports fewer, and the next session simulates them
 again.
 
 Interrupts (Ctrl-C, SIGTERM via the CLI handler) surface as
-:class:`~repro.experiments.parallel.ExecutionInterrupted`; the executor
-writes an ``interrupted`` manifest and returns the partial results
-instead of tearing down mid-write.
+:class:`~repro.experiments.parallel.ExecutionInterrupted` while the batch
+runs, and as a plain ``KeyboardInterrupt`` once it has returned and the
+payload is being built or written; either way the executor writes an
+``interrupted`` manifest and returns the results it has instead of
+tearing down mid-write.
 
 The completed campaign's deterministic payload (per-run metrics and the
 per-grid-point aggregate; no wall-clock noise) is written to
 ``results.json`` -- an interrupted-then-resumed campaign produces a
-byte-identical file to an uninterrupted one.
+byte-identical file to an uninterrupted one.  Both files are replaced
+atomically.
 """
 
 from __future__ import annotations
@@ -63,13 +66,15 @@ MANIFEST_NAME = "manifest.json"
 RESULTS_NAME = "results.json"
 
 
-def write_manifest(path: Union[str, Path], manifest: Dict[str, Any]) -> None:
-    """Atomically replace the manifest (readers never see a torn file)."""
+def _replace_json(path: Union[str, Path], data: Dict[str, Any]) -> None:
+    """Atomically replace ``path`` with ``data`` as JSON: written to a
+    temporary file beside it, fsynced, then renamed over it, so readers
+    never see a torn file and an interrupt leaves the old one."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+            json.dump(data, fh, indent=2, sort_keys=True)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -79,6 +84,11 @@ def write_manifest(path: Union[str, Path], manifest: Dict[str, Any]) -> None:
         except OSError:
             pass
         raise
+
+
+def write_manifest(path: Union[str, Path], manifest: Dict[str, Any]) -> None:
+    """Atomically replace the manifest (readers never see a torn file)."""
+    _replace_json(path, manifest)
 
 
 def load_manifest(path: Union[str, Path]) -> Optional[Dict[str, Any]]:
@@ -314,22 +324,24 @@ class CampaignExecutor:
         landed = None
         if progress is not None:
             landed = lambda i, result: progress(plan.runs[i], result)
+        results: List[Optional[SimulationResult]] = [None] * plan.total
         try:
             results = self.runner.run_many(
                 [r.config for r in plan.runs], progress=landed
             )
-        except ExecutionInterrupted as exc:
-            results, status = exc.results, "interrupted"
-        else:
-            from repro.experiments.io import save_json
-
-            save_json(
+            _replace_json(
+                self.directory / RESULTS_NAME,
                 campaign_results_payload(
                     plan, results, include_resources=self.include_resources
                 ),
-                self.directory / RESULTS_NAME,
             )
             status = "complete"
+        except ExecutionInterrupted as exc:
+            results, status = exc.results, "interrupted"
+        except KeyboardInterrupt:
+            # After the batch: every result is in the cache, so a rerun
+            # simulates nothing and writes results.json.
+            status = "interrupted"
         write_manifest(manifest_path, self._manifest(status))
         return CampaignOutcome(
             plan=plan,

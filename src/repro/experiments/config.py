@@ -45,8 +45,11 @@ class ScenarioConfig:
     mobility: str = "random-direction"
     hello: HelloConfig = field(default_factory=HelloConfig)
     oracle_neighbors: bool = False
-    #: Keep the per-broadcast reachable sets on the records (extra memory;
-    #: needed by analyses that ask "did host X get packet P?").
+    #: Keep every broadcast's full per-host record: its reachable set and
+    #: each receiver's first-hear and decision instants.  Otherwise a
+    #: broadcast settles to its counts and latency once it can no longer
+    #: change (see repro.metrics.collector), and a run's memory stays
+    #: flat.  Needed by analyses that ask "did host X get packet P?".
     store_reachable_sets: bool = False
     #: Optional capture-effect model (None = the paper's no-capture
     #: assumption; see repro.phy.capture).

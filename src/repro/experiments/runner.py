@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.trace.recorder import TraceRecorder
@@ -129,6 +129,13 @@ def run_broadcast_simulation(
     interarrival time is uniform in [0, ``interarrival_max``], per the
     paper.  Traffic begins after a warm-up long enough for neighbor tables
     to populate.
+
+    A run's memory barely grows with its broadcast count: before each
+    request, every broadcast that can no longer change settles
+    (:meth:`MetricsCollector.settle`) and leaves the duplicate caches,
+    and the run ends with :meth:`Network.close`, so the world is freed
+    when the result is returned.  Traced runs and
+    ``config.store_reachable_sets`` keep every per-host record.
     """
     wall_start = time.perf_counter()
     monitor = ResourceMonitor().start()
@@ -170,21 +177,18 @@ def run_broadcast_simulation(
     warmup = config.resolved_warmup(hello_enabled)
     traffic_rng = streams.stream("traffic")
 
-    def initiate(source_id: int) -> None:
-        # With faults enabled the drawn source may be down; skip the request
-        # (the draw itself already happened, so traffic timing is identical
-        # across schemes and across fault plans).
-        if not network.hosts[source_id].alive:
-            metrics.on_broadcast_skipped(source_id, scheduler.now)
-            return
-        network.initiate_broadcast(source_id)
-
+    # Every request is drawn here, before the run (the run's end and the
+    # fault horizon need the last one); the scheduler holds only the next.
+    times: List[float] = []
+    sources: List[int] = []
     t = warmup
     for _ in range(config.num_broadcasts):
         t += traffic_rng.uniform(0.0, config.interarrival_max)
-        source = traffic_rng.randrange(config.num_hosts)
-        scheduler.schedule_at(t, initiate, source)
+        times.append(t)
+        sources.append(traffic_rng.randrange(config.num_hosts))
     end_time = t + config.drain
+    settling = trace is None and not config.store_reachable_sets
+    _schedule_request(network, zip(times, sources), settling)
 
     injector = None
     if config.faults is not None and not config.faults.is_empty():
@@ -211,14 +215,18 @@ def run_broadcast_simulation(
 
     scheduler.run(until=end_time)
 
+    if settling:
+        metrics.settle(end_time, final=True)
     stats = metrics.summarize(end_time)
     perf = KernelPerf.collect(scheduler, network)
+    channel_stats = network.channel.stats
+    network.close()
     wall_time = time.perf_counter() - wall_start
     return SimulationResult(
         config=config,
         metrics=metrics,
         stats=stats,
-        channel_stats=network.channel.stats,
+        channel_stats=channel_stats,
         end_time=end_time,
         events_processed=scheduler.events_processed,
         backoffs_started=perf.backoffs_started,
@@ -228,3 +236,39 @@ def run_broadcast_simulation(
         perf=perf,
         resources=monitor.finish(wall_time),
     )
+
+
+def _schedule_request(
+    network: Network, requests: Iterator[Tuple[float, int]], settling: bool
+) -> None:
+    """Put the next of ``requests``, ``(time, source)`` pairs, on the
+    scheduler, if any is left."""
+    upcoming = next(requests, None)
+    if upcoming is not None:
+        time_at, source_id = upcoming
+        network.scheduler.schedule_at(
+            time_at, _request, network, requests, source_id, settling
+        )
+
+
+def _request(
+    network: Network,
+    requests: Iterator[Tuple[float, int]],
+    source_id: int,
+    settling: bool,
+) -> None:
+    """One broadcast request from ``source_id``.  It schedules the next
+    request first; with ``settling``, it settles what it can and drops
+    the settled keys from the duplicate caches before originating."""
+    _schedule_request(network, requests, settling)
+    metrics = network.metrics
+    now = network.scheduler.now
+    if settling:
+        network.dup_store.discard(metrics.settle(now))
+    # With faults enabled the drawn source may be down; skip the request
+    # (the draw itself already happened, so traffic timing is identical
+    # across schemes and across fault plans).
+    if not network.hosts[source_id].alive:
+        metrics.on_broadcast_skipped(source_id, now)
+        return
+    network.initiate_broadcast(source_id)

@@ -165,6 +165,9 @@ class MacFrameHandle:
         if self.transmitted:
             return False
         self.cancelled = True
+        # The callback would never fire; dropping it frees whatever it
+        # holds (a scheme's pending state holds this handle in turn).
+        self.on_transmit_start = None
         return True
 
 
@@ -394,6 +397,13 @@ class CsmaCaMac(RadioListener):
         self._idle_since[self.host_id] = now
         self._last_tx_end = now
 
+    def close(self) -> None:
+        """Let go of the receiver and the queued frames (whose callbacks
+        hold the host), at the end of a simulation; :attr:`stats` stays
+        readable."""
+        self._receiver = None
+        self._queue.clear()
+
     # --------------------------------------------------- channel callbacks
 
     def on_medium_state(self, busy: bool) -> None:
@@ -486,7 +496,6 @@ class CsmaCaMac(RadioListener):
         if not self._queue:
             return
         handle = self._queue.popleft()
-        first_attempt = not handle.transmitted
         handle.transmitted = True
         handle.attempts += 1
         self._transmitting = True
@@ -496,8 +505,11 @@ class CsmaCaMac(RadioListener):
         else:
             self.stats.broadcast_frames_sent += 1
         duration = self._airtime(handle.size_bytes)
-        if first_attempt and handle.on_transmit_start is not None:
-            handle.on_transmit_start()
+        on_transmit_start = handle.on_transmit_start
+        if on_transmit_start is not None:
+            # It fires once, on the first attempt, and is dropped then.
+            handle.on_transmit_start = None
+            on_transmit_start()
         envelope = DataFrame(
             src=self.host_id,
             dst=handle.dst,

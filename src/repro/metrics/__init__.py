@@ -9,12 +9,15 @@
   rebroadcast or decides not to rebroadcast.
 
 Both r and t count non-source hosts; the source's initial transmission is a
-broadcast, not a *re*-broadcast.
+broadcast, not a *re*-broadcast.  Once a broadcast can no longer change,
+a run keeps only these numbers (:class:`SettledBroadcast`), not the
+per-host record.
 """
 
 from repro.metrics.collector import (
     BroadcastRecord,
     MetricsCollector,
+    SettledBroadcast,
     SimulationSummary,
     SummaryStat,
 )
@@ -23,6 +26,7 @@ from repro.metrics.connectivity import connected_components, reachable_set
 __all__ = [
     "BroadcastRecord",
     "MetricsCollector",
+    "SettledBroadcast",
     "SimulationSummary",
     "SummaryStat",
     "reachable_set",

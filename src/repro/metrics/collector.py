@@ -1,10 +1,26 @@
-"""Per-broadcast records and simulation-wide aggregation."""
+"""Per-broadcast records and simulation-wide aggregation.
+
+Settlement
+----------
+A broadcast's :class:`BroadcastRecord` keeps every receiver's first-hear
+and decision instant: about 18 KiB per broadcast on 100 hosts.  Once a
+broadcast can no longer change, :meth:`MetricsCollector.settle` swaps
+the record, in the same slot of ``records``, for a
+:class:`SettledBroadcast`: the counts and the latency the summaries
+read, the same numbers as from the record.  That is when the source's
+frame has ended, every host that received the broadcast has decided
+(rebroadcast finished, or inhibited), and all of those instants lie
+strictly before ``now``.  Then no copy can still arrive: a copy is only
+ever sent by the source or by a receiver that has not yet decided, and
+a frame's deliveries run at its end, no later than its sender's
+decision.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Union
 
 from repro.net.packets import PacketKey
 
@@ -12,14 +28,37 @@ __all__ = [
     "BroadcastRecord",
     "FaultEventRecord",
     "MetricsCollector",
+    "SettledBroadcast",
     "SummaryStat",
     "SimulationSummary",
     "WindowSummary",
 ]
 
 
+class _Outcome:
+    """RE and SRB from a broadcast's counts (shared by both forms)."""
+
+    __slots__ = ()
+
+    @property
+    def reachability(self) -> Optional[float]:
+        """RE = r / e, or ``None`` when the source was isolated (e = 0)."""
+        if self.reachable_count == 0:
+            return None
+        return self.received_count / self.reachable_count
+
+    @property
+    def saved_rebroadcast(self) -> Optional[float]:
+        """SRB = (r - t) / r, or ``None`` when nothing was received."""
+        if self.received_count == 0:
+            return None
+        return (
+            self.received_count - self.rebroadcast_count
+        ) / self.received_count
+
+
 @dataclass
-class BroadcastRecord:
+class BroadcastRecord(_Outcome):
     """Everything observed about one logical broadcast."""
 
     key: PacketKey
@@ -44,22 +83,6 @@ class BroadcastRecord:
         """t: non-source hosts that actually put a rebroadcast on the air."""
         return len(self.rebroadcasters)
 
-    @property
-    def reachability(self) -> Optional[float]:
-        """RE = r / e, or ``None`` when the source was isolated (e = 0)."""
-        if self.reachable_count == 0:
-            return None
-        return self.received_count / self.reachable_count
-
-    @property
-    def saved_rebroadcast(self) -> Optional[float]:
-        """SRB = (r - t) / r, or ``None`` when nothing was received."""
-        if self.received_count == 0:
-            return None
-        return (
-            self.received_count - self.rebroadcast_count
-        ) / self.received_count
-
     def latency(self, fallback_end: Optional[float] = None) -> Optional[float]:
         """Initiation to the last rebroadcast-finish / inhibit decision.
 
@@ -76,6 +99,57 @@ class BroadcastRecord:
                 decided = fallback_end if fallback_end is not None else self.origin_time
             last = max(last, decided)
         return last - self.origin_time
+
+    def settled_before(self, now: float) -> bool:
+        """Whether no copy of this broadcast can arrive any more: the
+        source's frame has ended, every receiver has decided, and all of
+        those instants lie strictly before ``now`` (so every event at
+        them has run)."""
+        tx_end = self.source_tx_end
+        if tx_end is None or tx_end >= now:
+            return False
+        decided = self.decision_times
+        if not decided.keys() >= self.received_times.keys():
+            return False
+        return not decided or max(decided.values()) < now
+
+
+@dataclass
+class SettledBroadcast(_Outcome):
+    """A broadcast's final outcome, once its record can no longer change:
+    what the summaries read, about 250 B against the record's 18 KiB.
+
+    Its latency was fixed when it settled: a broadcast settled at the
+    run's end charged its undecided receivers that end.
+    """
+
+    __slots__ = (
+        "key", "source_id", "origin_time", "reachable_count",
+        "received_count", "rebroadcast_count", "final_latency",
+    )
+
+    key: PacketKey
+    source_id: int
+    origin_time: float
+    reachable_count: int
+    received_count: int
+    rebroadcast_count: int
+    final_latency: Optional[float]
+
+    @classmethod
+    def of(
+        cls, record: BroadcastRecord, fallback_end: Optional[float] = None
+    ) -> "SettledBroadcast":
+        return cls(
+            record.key, record.source_id, record.origin_time,
+            record.reachable_count, record.received_count,
+            record.rebroadcast_count, record.latency(fallback_end),
+        )
+
+    def latency(self, fallback_end: Optional[float] = None) -> Optional[float]:
+        """:attr:`final_latency` (``fallback_end`` is not read: every
+        receiver had decided, or was charged the run's end)."""
+        return self.final_latency
 
 
 @dataclass
@@ -157,7 +231,11 @@ class MetricsCollector:
     """Receives events from hosts and produces the simulation summary."""
 
     def __init__(self, store_reachable_sets: bool = False) -> None:
-        self.records: Dict[PacketKey, BroadcastRecord] = {}
+        #: Every broadcast in origination order: its record, or its
+        #: outcome once settled (see :meth:`settle`).
+        self.records: Dict[PacketKey, Union[BroadcastRecord, SettledBroadcast]] = {}
+        # The records not yet settled, in origination order.
+        self._open: Dict[PacketKey, BroadcastRecord] = {}
         self.hello_packets_sent = 0
         self.hello_counts_by_host: Dict[int, int] = {}
         self.store_reachable_sets = store_reachable_sets
@@ -198,7 +276,7 @@ class MetricsCollector:
     ) -> None:
         if key in self.records:
             raise ValueError(f"duplicate broadcast key {key}")
-        self.records[key] = BroadcastRecord(
+        self.records[key] = self._open[key] = BroadcastRecord(
             key=key,
             source_id=source_id,
             origin_time=time,
@@ -208,28 +286,39 @@ class MetricsCollector:
             ),
         )
 
+    def _open_record(self, key: PacketKey) -> Optional[BroadcastRecord]:
+        """The record an update of ``key`` goes to: ``None`` for a key
+        this collector never originated (the update is ignored).  A key
+        already settled raises: the settlement rule would be wrong."""
+        record = self._open.get(key)
+        if record is None and key in self.records:
+            raise RuntimeError(
+                f"broadcast {key} was settled but is still being updated"
+            )
+        return record
+
     def on_source_tx_end(self, key: PacketKey, time: float) -> None:
-        record = self.records.get(key)
+        record = self._open_record(key)
         if record is not None:
             record.source_tx_end = time
 
     def on_receive(self, key: PacketKey, host_id: int, time: float) -> None:
-        record = self.records.get(key)
+        record = self._open_record(key)
         if record is not None:
             record.received_times.setdefault(host_id, time)
 
     def on_rebroadcast_start(self, key: PacketKey, host_id: int, time: float) -> None:
-        record = self.records.get(key)
+        record = self._open_record(key)
         if record is not None:
             record.rebroadcasters.add(host_id)
 
     def on_rebroadcast_end(self, key: PacketKey, host_id: int, time: float) -> None:
-        record = self.records.get(key)
+        record = self._open_record(key)
         if record is not None:
             record.decision_times[host_id] = time
 
     def on_inhibit(self, key: PacketKey, host_id: int, time: float) -> None:
-        record = self.records.get(key)
+        record = self._open_record(key)
         if record is not None:
             record.decision_times.setdefault(host_id, time)
 
@@ -256,6 +345,30 @@ class MetricsCollector:
         self.fault_events.append(
             FaultEventRecord(time, "skipped-broadcast", source_id)
         )
+
+    # -------------------------------------------------------- settlement
+
+    def settle(self, now: float, final: bool = False) -> List[PacketKey]:
+        """Swap each record that can no longer change (see the module
+        docstring) for its :class:`SettledBroadcast`, in place, and
+        return the keys settled, in origination order.
+
+        ``final``: the run has ended at ``now``, so every open record
+        settles, and receivers that never decided are charged ``now``.
+        """
+        records = self.records
+        settled = []
+        for key, record in self._open.items():
+            if final:
+                records[key] = SettledBroadcast.of(record, now)
+            elif record.settled_before(now):
+                records[key] = SettledBroadcast.of(record)
+            else:
+                continue
+            settled.append(key)
+        for key in settled:
+            del self._open[key]
+        return settled
 
     # ------------------------------------------------------- aggregation
 

@@ -10,12 +10,14 @@ One :class:`DuplicateStore` holds every host's cache: a dict from packet
 key to a host bitset, an int whose bit ``h`` is set while host ``h``'s
 cache holds the key.  A broadcast that reaches the whole network costs
 one entry, not one per host.  A host's :class:`DuplicateCache` is its
-handle on the store: it reads and writes only its own bit.
+handle on the store: it reads and writes only its own bit.  A broadcast
+that has settled (no copy can still arrive) leaves every cache at once,
+so a long run holds only the keys of the broadcasts still in flight.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable
+from typing import Dict, Hashable, Iterable
 
 __all__ = ["DuplicateCache", "DuplicateStore"]
 
@@ -38,24 +40,29 @@ class DuplicateStore:
     def __len__(self) -> int:
         return len(self._holders)
 
+    def discard(self, keys: Iterable[Hashable]) -> None:
+        """Drop ``keys`` from every host's cache."""
+        holders = self._holders
+        for key in keys:
+            holders.pop(key, None)
+
 
 class DuplicateCache:
     """The packet keys one host has already processed: its bit of a
     :class:`DuplicateStore`."""
 
-    __slots__ = ("_holders", "_bit", "_count")
+    __slots__ = ("_holders", "_bit")
 
     def __init__(self, holders: Dict[Hashable, int], host_id: int) -> None:
         self._holders = holders
         self._bit = 1 << host_id
-        #: Keys that carry this host's bit.
-        self._count = 0
 
     def __contains__(self, key: Hashable) -> bool:
         return self._holders.get(key, 0) & self._bit != 0
 
     def __len__(self) -> int:
-        return self._count
+        bit = self._bit
+        return sum(1 for bits in self._holders.values() if bits & bit)
 
     def add(self, key: Hashable) -> bool:
         """Record ``key``.  Returns ``True`` if it was new."""
@@ -64,7 +71,6 @@ class DuplicateCache:
         if bits & self._bit:
             return False
         holders[key] = bits | self._bit
-        self._count += 1
         return True
 
     def clear(self) -> None:
@@ -77,4 +83,3 @@ class DuplicateCache:
                 holders[key] = bits
             else:
                 del holders[key]
-        self._count = 0

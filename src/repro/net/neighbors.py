@@ -197,6 +197,11 @@ class NeighborStore:
             elif expiry < table._next_expiry:
                 table._next_expiry = expiry
 
+    def close(self) -> None:
+        """Drop the store's list of tables, at the end of a simulation:
+        each table keeps its own hold on the store, and stays readable."""
+        self.tables = []
+
     def _fold_updates(self) -> None:
         log = self._update_log
         if log:
@@ -245,7 +250,8 @@ class NeighborTable:
         self._members: Dict[int, None] = {}
         #: No member expires before this instant.
         self._next_expiry = _INF
-        # (time, host_id) of join/leave events, pruned to the window.
+        # (time, host_id) of join/leave events, trimmed to the variation
+        # window as they are appended.
         self._changes: Deque[Tuple[float, int]] = deque()
         # Cached frozenset(N_x); invalidated on join/leave, not on refresh.
         self._frozen: Optional[FrozenSet[int]] = None
@@ -269,9 +275,18 @@ class NeighborTable:
     def _join(self, sender: int, now: float, expiry: float) -> None:
         self._members[sender] = None
         self._changes.append((now, sender))
+        self._trim(now)
         self._frozen = None
         if expiry < self._next_expiry:
             self._next_expiry = expiry
+
+    def _trim(self, now: float) -> None:
+        """Drop the join/leave entries older than the variation window
+        as of ``now``: :meth:`variation` would never count them again."""
+        changes = self._changes
+        cutoff = now - self._store._variation_window
+        while changes and changes[0][0] < cutoff:
+            changes.popleft()
 
     def purge(self, now: float) -> Set[int]:
         """Drop neighbors not heard within their timeout; returns the dropped ids."""
@@ -308,6 +323,7 @@ class NeighborTable:
                 two_hop[host_id] = None
                 listers[host_id].discard(host)
                 changes.append((now, host_id))
+            self._trim(now)
             self._frozen = None
             self.expirations += len(dropped)
         return dropped
@@ -376,13 +392,9 @@ class NeighborTable:
         neighborhood).
         """
         self.purge(now)
-        window = self._store._variation_window
-        cutoff = now - window
-        changes = self._changes
-        while changes and changes[0][0] < cutoff:
-            changes.popleft()
-        denom = max(len(self._members), 1) * window
-        return len(changes) / denom
+        self._trim(now)
+        denom = max(len(self._members), 1) * self._store._variation_window
+        return len(self._changes) / denom
 
 
 def dynamic_hello_interval(

@@ -176,6 +176,25 @@ class Network:
         for host in self.hosts:
             host.start()
 
+    def close(self) -> None:
+        """Break the world's reference cycles at the end of a run, so
+        that reference counting frees it once the caller lets go.
+
+        The scheduler drops its pending events and their callbacks (the
+        hello timers and MAC, scheme and fault events among them); the
+        channel its listeners and bulk-delivery hook; each MAC its host
+        and queue; each scheme its host and pending states; the neighbor
+        store its list of tables.  The hosts, their MAC stats and
+        neighbor tables, the channel's stats, the positions and the
+        metrics stay readable.
+        """
+        self.scheduler.clear()
+        self.channel.close()
+        for host in self.hosts:
+            host.mac.close()
+            host.scheme.detach()
+        self.neighbor_store.close()
+
     def crash_host(self, host_id: int) -> None:
         """Crash ``host_id`` (see :meth:`MobileHost.crash`)."""
         if not 0 <= host_id < len(self.hosts):

@@ -550,6 +550,12 @@ class Channel:
         self._off_air(tx)
         return True
 
+    def close(self) -> None:
+        """Let go of the listeners and the bulk-delivery hook, at the end
+        of a simulation; :attr:`stats` stays readable."""
+        self._listeners.clear()
+        self.bulk_delivery = None
+
     @property
     def attached_ids(self) -> List[int]:
         return list(self._listeners)

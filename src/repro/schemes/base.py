@@ -105,6 +105,11 @@ class RebroadcastScheme(ABC):
         """Bind the scheme to its host.  Called once by the host."""
         self.host = host
 
+    def detach(self) -> None:
+        """Unbind from the host and drop all per-packet state, at the end
+        of a simulation; nothing is cancelled or recorded."""
+        self.host = None
+
     def on_originate(self, packet: BroadcastPacket) -> None:
         """The host is the broadcast source: transmit unconditionally."""
         self.host.submit_rebroadcast(packet, on_transmit_start=None)
@@ -220,6 +225,10 @@ class DeferredRebroadcastScheme(RebroadcastScheme):
     def pending_count(self) -> int:
         """Packets currently in the S2/S4 waiting stage (for tests)."""
         return len(self._pending)
+
+    def detach(self) -> None:
+        super().detach()
+        self._pending.clear()
 
     def reset(self) -> None:
         """Drop every pending assessment: cancel jitter waits and withdraw

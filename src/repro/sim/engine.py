@@ -280,6 +280,20 @@ class Scheduler:
             return True
         return False
 
+    def clear(self) -> None:
+        """Drop every pending event, and with it what the event would
+        have called (an event still held elsewhere keeps no callback).
+
+        For a finished simulation: queued callbacks hold the objects they
+        act on, which hold the scheduler in turn.  The processed,
+        scheduled and cancelled counts keep their values.
+        """
+        for entry in self._queue:
+            event = entry[3]
+            event.fn = event.args = event._sched = None
+        self._queue.clear()
+        self._cancelled_in_queue = 0
+
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` if the queue is empty."""
         while self._queue and self._queue[0][3].cancelled:

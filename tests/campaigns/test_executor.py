@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import repro.campaigns.queue as queue_mod
 import repro.experiments.parallel as parallel_mod
 from repro.campaigns.planner import plan_campaign
 from repro.campaigns.queue import (
@@ -180,6 +181,40 @@ def test_resume_after_interrupt_simulates_only_holes(tmp_path, monkeypatch):
     assert load_manifest(
         outcome.directory / "manifest.json"
     )["status"] == "complete"
+
+
+def test_interrupt_after_the_last_run_leaves_a_resumable_campaign(
+    tmp_path, monkeypatch
+):
+    """A SIGTERM / Ctrl-C that lands once every run is in, while the
+    payload is built, ends the session as interrupted; the rerun
+    simulates nothing and writes results.json."""
+    plan = plan_campaign(tiny_spec())
+    build_payload = queue_mod.campaign_results_payload
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(queue_mod, "campaign_results_payload", interrupted)
+    first = make_executor(tmp_path, plan)
+    try:
+        outcome = first.run()
+    except KeyboardInterrupt:
+        pytest.fail("an interrupt after the last run escaped run()")
+    assert outcome.status == "interrupted"
+    assert outcome.completed == plan.total
+    directory = outcome.directory
+    assert load_manifest(directory / "manifest.json")["status"] == "interrupted"
+    assert sorted(p.name for p in directory.iterdir()) == [
+        "cache", "manifest.json",
+    ]
+
+    monkeypatch.setattr(queue_mod, "campaign_results_payload", build_payload)
+    second = make_executor(tmp_path, plan)
+    assert second.run().status == "complete"
+    assert second.runner.perf.simulated == 0
+    payload = json.loads((directory / "results.json").read_text())
+    assert payload["completed_runs"] == plan.total
 
 
 # ---------------------------------------------------------------- status

@@ -11,7 +11,12 @@ from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_broadcast_simulation
 from repro.schemes import SCHEME_REGISTRY, make_scheme
 
-SCENARIO = dict(map_units=3, num_hosts=30, num_broadcasts=5, seed=13)
+# store_reachable_sets keeps every broadcast's per-host record, which
+# test_every_receiving_host_decided reads.
+SCENARIO = dict(
+    map_units=3, num_hosts=30, num_broadcasts=5, seed=13,
+    store_reachable_sets=True,
+)
 
 
 @pytest.fixture(scope="module", params=sorted(SCHEME_REGISTRY))

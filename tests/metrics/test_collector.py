@@ -1,12 +1,14 @@
 """Metric formulas and aggregation."""
 
 import math
+import pickle
 
 import pytest
 
 from repro.metrics.collector import (
     BroadcastRecord,
     MetricsCollector,
+    SettledBroadcast,
     SummaryStat,
 )
 
@@ -15,6 +17,16 @@ def make_record(**overrides):
     defaults = dict(key=(0, 1), source_id=0, origin_time=10.0, reachable_count=4)
     defaults.update(overrides)
     return BroadcastRecord(**defaults)
+
+
+def one_broadcast(collector, key=(0, 1)):
+    collector.on_originate(key, 0, 10.0, reachable_count=2)
+    collector.on_source_tx_end(key, 10.002)
+    collector.on_receive(key, 1, 10.1)
+    collector.on_receive(key, 2, 10.2)
+    collector.on_rebroadcast_start(key, 1, 10.3)
+    collector.on_rebroadcast_end(key, 1, 10.31)
+    collector.on_inhibit(key, 2, 10.25)
 
 
 class TestBroadcastRecord:
@@ -87,18 +99,9 @@ class TestSummaryStat:
 
 
 class TestMetricsCollector:
-    def _one_broadcast(self, collector, key=(0, 1)):
-        collector.on_originate(key, 0, 10.0, reachable_count=2)
-        collector.on_source_tx_end(key, 10.002)
-        collector.on_receive(key, 1, 10.1)
-        collector.on_receive(key, 2, 10.2)
-        collector.on_rebroadcast_start(key, 1, 10.3)
-        collector.on_rebroadcast_end(key, 1, 10.31)
-        collector.on_inhibit(key, 2, 10.25)
-
     def test_full_flow(self):
         collector = MetricsCollector()
-        self._one_broadcast(collector)
+        one_broadcast(collector)
         summary = collector.summarize()
         assert summary.broadcasts == 1
         assert summary.reachability.mean == pytest.approx(1.0)
@@ -153,7 +156,7 @@ class TestMetricsCollector:
 
     def test_aggregation_over_multiple_broadcasts(self):
         collector = MetricsCollector()
-        self._one_broadcast(collector, key=(0, 1))
+        one_broadcast(collector, key=(0, 1))
         # Second broadcast: only 1 of 2 reachable receives.
         collector.on_originate((5, 2), 5, 20.0, reachable_count=2)
         collector.on_receive((5, 2), 1, 20.1)
@@ -162,3 +165,71 @@ class TestMetricsCollector:
         summary = collector.summarize()
         assert summary.reachability.mean == pytest.approx((1.0 + 0.5) / 2)
         assert summary.saved_rebroadcast.mean == pytest.approx((0.5 + 0.0) / 2)
+
+
+class TestSettlement:
+    """A broadcast settles once no copy can arrive: its source's frame
+    has ended and every receiver has decided, all strictly before now."""
+
+    def _collector(self):
+        collector = MetricsCollector()
+        one_broadcast(collector)
+        return collector
+
+    def test_settles_strictly_after_the_last_decision(self):
+        collector = self._collector()
+        assert collector.settle(10.31) == []  # the decision's own instant
+        record = collector.records[(0, 1)]
+        assert collector.settle(10.32) == [(0, 1)]
+        settled = collector.records[(0, 1)]
+        assert isinstance(settled, SettledBroadcast)
+        assert settled.received_count == 2
+        assert settled.rebroadcast_count == 1
+        assert settled.reachability == record.reachability
+        assert settled.saved_rebroadcast == record.saved_rebroadcast
+        assert settled.latency() == record.latency()
+        assert collector.settle(11.0) == []  # already settled
+
+    def test_undecided_receiver_or_frame_on_the_air_keeps_it_open(self):
+        collector = MetricsCollector()
+        collector.on_originate((0, 1), 0, 10.0, reachable_count=2)
+        assert collector.settle(20.0) == []  # the source frame never ended
+        collector.on_source_tx_end((0, 1), 10.002)
+        collector.on_receive((0, 1), 1, 10.002)
+        collector.on_rebroadcast_start((0, 1), 1, 10.1)
+        assert collector.settle(20.0) == []  # its rebroadcast is on the air
+        collector.on_rebroadcast_end((0, 1), 1, 10.102)
+        assert collector.settle(20.0) == [(0, 1)]
+
+    def test_final_settlement_charges_the_end_to_undecided_receivers(self):
+        collector = MetricsCollector()
+        collector.on_originate((0, 1), 0, 10.0, reachable_count=2)
+        collector.on_source_tx_end((0, 1), 10.002)
+        collector.on_receive((0, 1), 1, 10.002)
+        record = collector.records[(0, 1)]
+        expected = collector.summarize(end_time=15.0)
+        assert collector.settle(15.0, final=True) == [(0, 1)]
+        assert collector.records[(0, 1)].latency() == record.latency(15.0)
+        assert collector.summarize(end_time=15.0) == expected
+
+    def test_update_of_a_settled_broadcast_raises(self):
+        collector = self._collector()
+        collector.settle(11.0)
+        key = (0, 1)
+        for update in (
+            lambda: collector.on_source_tx_end(key, 11.0),
+            lambda: collector.on_receive(key, 3, 11.0),
+            lambda: collector.on_rebroadcast_start(key, 2, 11.0),
+            lambda: collector.on_rebroadcast_end(key, 2, 11.0),
+            lambda: collector.on_inhibit(key, 2, 11.0),
+        ):
+            with pytest.raises(RuntimeError, match="settled"):
+                update()
+
+    def test_outcome_compares_and_pickles_by_value(self):
+        collector = self._collector()
+        collector.settle(11.0)
+        again = pickle.loads(pickle.dumps(collector))
+        assert again == collector
+        assert again.records[(0, 1)] == collector.records[(0, 1)]
+        assert again.records[(0, 1)] != self._collector().records[(0, 1)]

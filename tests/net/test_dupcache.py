@@ -62,6 +62,18 @@ def test_clear_leaves_other_hosts_and_drops_orphaned_keys():
     assert a.add("own")
 
 
+def test_discard_forgets_keys_in_every_cache():
+    store = DuplicateStore(3)
+    a, b, c = store.caches
+    a.add("settled")
+    b.add("settled")
+    a.add("live")
+    store.discard(["settled", "never-seen"])
+    assert "settled" not in a and "settled" not in b
+    assert "live" in a
+    assert len(store) == 1 and len(a) == 1 and len(b) == 0 == len(c)
+
+
 def test_clear_of_an_empty_cache_changes_nothing():
     store = DuplicateStore(2)
     store.caches[1].add("k")

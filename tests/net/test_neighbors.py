@@ -113,6 +113,17 @@ class TestNeighborTable:
         table.update_from_hello(hello(5), now=11.0)
         assert table.variation(now=11.0) == 0.0  # join at t=0 outside window
 
+    def test_log_trimmed_as_it_appends(self):
+        """Without a variation() call (fixed-interval HELLO makes none),
+        joins and leaves older than the window still leave the log."""
+        table = make_table(variation_window=10.0)
+        table.update_from_hello(hello(5), now=0.0)
+        table.purge(now=2.5)  # 5 leaves
+        table.update_from_hello(hello(6), now=12.0)
+        assert [t for t, _ in table._changes] == [2.5, 12.0]
+        table.update_from_hello(hello(7), now=13.0)
+        assert [t for t, _ in table._changes] == [12.0, 13.0]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             NeighborStore(1, default_interval=0.0)

@@ -25,6 +25,7 @@ def test_metrics_always_in_range(seed, scheme, map_units):
         num_hosts=25,
         num_broadcasts=3,
         seed=seed,
+        store_reachable_sets=True,  # keeps the per-host records read below
     )
     result = run_broadcast_simulation(config)
     for record in result.metrics.records.values():
