@@ -17,9 +17,10 @@ regenerates one of the paper's figures (a name from
 :data:`~repro.experiments.figures.FIGURES`: fig01, fig02, fig05a-d, fig07,
 fig09, fig10, fig11, fig12, fig13) as text tables, one per panel.
 
-``figure`` and ``sweep`` accept ``--jobs N`` to fan independent runs
-across N worker processes (results stay bit-identical to ``--jobs 1``)
-and ``--cache-dir DIR`` to reuse finished runs across invocations.
+``figure`` and ``sweep`` (and ``python -m repro.experiments.report``)
+accept ``--jobs N`` to fan independent runs across N worker processes
+(results stay bit-identical to ``--jobs 1``) and ``--cache-dir DIR`` to
+reuse finished runs across invocations.
 
 ``campaign plan|run|status`` expands a declarative sweep spec into a
 resumable campaign whose result cache records its progress
@@ -44,7 +45,9 @@ from repro.experiments.runner import run_broadcast_simulation
 from repro.net.host import HelloConfig
 from repro.schemes import SCHEME_REGISTRY
 
-__all__ = ["main", "build_parser"]
+__all__ = [
+    "main", "build_parser", "add_exec_args", "make_executor", "print_perf",
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also render an ASCII chart of RE per series")
     fig_p.add_argument("--csv", metavar="PATH", default=None,
                        help="write every panel's series to one CSV file")
-    _add_exec_args(fig_p)
+    add_exec_args(fig_p)
     _add_profile_arg(fig_p)
 
     sweep_p = sub.add_parser(
@@ -128,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="multiple seeds aggregate with a 95%% CI")
     sweep_p.add_argument("--json", metavar="PATH", default=None,
                          help="also dump every run to a JSON file")
-    _add_exec_args(sweep_p)
+    add_exec_args(sweep_p)
 
     schemes_p = sub.add_parser(
         "schemes", help="list every registered scheme and its parameters"
@@ -305,7 +308,8 @@ def _add_profile_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_exec_args(p: argparse.ArgumentParser) -> None:
+def add_exec_args(p: argparse.ArgumentParser) -> None:
+    """``--jobs N`` and ``--cache-dir DIR``, for :func:`make_executor`."""
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="worker processes (default 1 = sequential; "
                    "0 = one per CPU core)")
@@ -313,7 +317,9 @@ def _add_exec_args(p: argparse.ArgumentParser) -> None:
                    help="reuse finished runs from this on-disk result cache")
 
 
-def _make_executor(args: argparse.Namespace):
+def make_executor(args: argparse.Namespace):
+    """The :class:`~repro.experiments.parallel.ParallelRunner` that
+    ``--jobs`` and ``--cache-dir`` ask for."""
     from repro.experiments.parallel import ParallelRunner
 
     if args.jobs < 0:
@@ -337,12 +343,15 @@ def _profiled(args: argparse.Namespace, work):
     return out
 
 
-def _print_perf(runner) -> None:
+def print_perf(runner, file=None) -> None:
+    """The runner's perf line, after a blank line, to ``file`` (stdout
+    by default)."""
     perf = runner.perf
     print(
         f"\n[perf] runs={perf.runs} simulated={perf.simulated} "
         f"cache_hits={perf.cache_hits} ({perf.cache_hit_rate:.0%}) "
-        f"events/sec={perf.events_per_sec:,.0f} wall={perf.wall_time:.2f}s"
+        f"events/sec={perf.events_per_sec:,.0f} wall={perf.wall_time:.2f}s",
+        file=file,
     )
 
 
@@ -462,13 +471,13 @@ def _run_figure(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    runner = _make_executor(args)
+    runner = make_executor(args)
     previous = set_default_executor(runner)
     try:
         _profiled(args, lambda: _show_figure(args, figure, panels))
     finally:
         set_default_executor(previous)
-    _print_perf(runner)
+    print_perf(runner)
     return 0
 
 
@@ -505,7 +514,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         check_seeds(args.seeds)
     except ValueError as exc:
         raise SystemExit(f"error: --seeds: {exc}")
-    runner = _make_executor(args)
+    runner = make_executor(args)
     cells = []
     for scheme in args.schemes:
         # Validated per scheme: every swept scheme must accept every key.
@@ -548,7 +557,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2)
         print(f"\nwrote {args.json}")
-    _print_perf(runner)
+    print_perf(runner)
     return 0
 
 
@@ -651,7 +660,7 @@ def _campaign_run_cmd(args: argparse.Namespace) -> int:
         raise SystemExit(f"error: {exc}")
     finally:
         signal.signal(signal.SIGTERM, previous_handler)
-    _print_perf(executor.runner)
+    print_perf(executor.runner)
     if outcome.resumable:
         print(
             f"interrupted at {outcome.completed}/{plan.total} runs; "

@@ -20,15 +20,26 @@ of :attr:`~repro.phy.channel.Channel.sensed` and its
 :attr:`~repro.phy.channel.Channel.idle_since`).  The channel hands each
 medium edge to :meth:`CsmaCaMac.on_medium_edge`, which freezes (busy) or
 resumes (idle) every subscribed MAC the edge reaches in one loop, in
-the frame's receiver order.  A freeze marks the MAC's access event
-cancelled in place, and the loop tells the scheduler how many it
-cancelled once per edge.  Every access keeps its own scheduler event, so
-the event order is the one per-MAC upcalls would give.  A MAC with no
-access event, no backoff and no live queued frame ignores every medium
-edge, so it clears its bit in
-:attr:`~repro.phy.channel.Channel.subscribed` when an edge (or a resume)
-finds it so, and sets the bit again whenever it queues a frame or draws
-a backoff.
+the frame's receiver order.  A MAC with no pending access, no backoff
+and no live queued frame ignores every medium edge, so it clears its bit
+in :attr:`~repro.phy.channel.Channel.subscribed` when an edge (or a
+resume) finds it so, and sets the bit again whenever it queues a frame
+or draws a backoff.
+
+The contention heap.  On a dense map an idle edge resumes dozens of MACs
+and the next busy edge, one access later, freezes all the others, so
+most accesses never fire.  Only the first access a resume schedules gets
+a scheduler event of its own; each further one becomes a ``(fire_at,
+seq, mac)`` entry in one heap that all the MACs on the channel share,
+where ``seq`` is drawn from the scheduler's sequence counter as the event
+it stands for would have been.  The earliest live entry always holds a
+scheduler event, pushed under that ``seq``
+(:meth:`~repro.sim.engine.Scheduler._push`), so accesses fire in the
+order, and at the instants, that one event each would give.  Arming is
+lazy: an earlier arrival is armed beside a later entry that already is.
+A freeze only marks its MACs' entries dead (and cancels the events of
+those that hold one); the head is re-armed when it fires or dies, and
+the heap is emptied at once when no live entry is left.
 
 Unicast behaviour (used by the routing substrate, not by the paper's
 broadcast schemes):
@@ -52,6 +63,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Deque, Dict, Optional, Sequence
 
 from repro.mac.frames import AckFrame, DataFrame
@@ -64,6 +76,10 @@ __all__ = ["CsmaCaMac", "MacFrameHandle", "MacReceiver", "MacStats"]
 
 #: Maximum retransmissions of a unicast frame (802.11 short retry limit).
 DEFAULT_RETRY_LIMIT = 7
+
+#: ``CsmaCaMac._access_seq`` of an access with a scheduler event of its own
+#: (the contention heap's entries have their ``seq``, which is >= 0).
+_OWN_EVENT = -1
 
 
 class MacReceiver:
@@ -179,7 +195,7 @@ class CsmaCaMac(RadioListener):
         "_retry_limit", "stats", "_queue", "_transmitting", "_bit",
         "_idle_since", "_last_tx_end", "_cw",
         "_backoff_remaining", "_countdown_base", "_access_event",
-        "_awaiting_ack",
+        "_access_seq", "_contention", "_awaiting_ack",
         "_ack_timeout_event", "_tx_done_event", "_pending_ack_txs", "_dead",
         "_tx_seq", "_last_rx_seq", "_difs", "_slot_time", "_sifs",
         "_airtime_cache", "_ack_airtime", "_ack_timeout_delay",
@@ -230,7 +246,17 @@ class CsmaCaMac(RadioListener):
         self._cw = params.cw_min
         self._backoff_remaining: Optional[int] = None
         self._countdown_base: Optional[float] = None
+        #: The pending access: ``_OWN_EVENT`` while it has a scheduler
+        #: event of its own, its entry's ``seq`` while it waits in the
+        #: contention heap, ``None`` when no access is pending.
+        self._access_seq: Optional[int] = None
+        #: The scheduler event that fires the pending access, if it has
+        #: one: its own, or the armed event of its contention entry.
         self._access_event: Optional[Event] = None
+        contention = channel.contention
+        if contention is None:
+            contention = channel.contention = _Contention()
+        self._contention = contention
         self._awaiting_ack: Optional[MacFrameHandle] = None
         self._ack_timeout_event: Optional[Event] = None
         self._tx_done_event: Optional[Event] = None
@@ -296,7 +322,7 @@ class CsmaCaMac(RadioListener):
         channel.subscribed |= self._bit
         if (
             self._transmitting
-            or self._access_event is not None
+            or self._access_seq is not None
             or self._awaiting_ack is not None
         ):
             return handle
@@ -342,10 +368,12 @@ class CsmaCaMac(RadioListener):
     def shutdown(self) -> None:
         """Power the radio off (host crash).
 
-        Aborts any in-flight transmission at the channel, cancels every
-        pending MAC event (access, ACK timeout, tx-done, queued SIFS->ACK
-        responses), flushes the queue -- unicast frames report failure to
-        their ``on_complete`` -- and detaches from the channel.  Idempotent.
+        Aborts any in-flight transmission at the channel, withdraws the
+        pending access (its event or contention entry; no ``mac-freeze``
+        record), cancels every other pending MAC event (ACK timeout,
+        tx-done, queued SIFS->ACK responses), flushes the queue --
+        unicast frames report failure to their ``on_complete`` -- and
+        detaches from the channel.  Idempotent.
         """
         if self._dead:
             return
@@ -353,6 +381,8 @@ class CsmaCaMac(RadioListener):
         if self._transmitting:
             self._channel.abort_transmission(self.host_id)
             self._transmitting = False
+        withdrawn = self._access_seq
+        self._access_seq = None
         for event in (
             self._access_event, self._ack_timeout_event, self._tx_done_event,
         ):
@@ -361,6 +391,8 @@ class CsmaCaMac(RadioListener):
         self._access_event = None
         self._ack_timeout_event = None
         self._tx_done_event = None
+        if withdrawn is not None and withdrawn != _OWN_EVENT:
+            _settle(self._contention, -1)
         for event in self._pending_ack_txs:
             event.cancel()
         self._pending_ack_txs.clear()
@@ -398,11 +430,12 @@ class CsmaCaMac(RadioListener):
         self._last_tx_end = now
 
     def close(self) -> None:
-        """Let go of the receiver and the queued frames (whose callbacks
-        hold the host), at the end of a simulation; :attr:`stats` stays
-        readable."""
+        """Let go of the receiver, the queued frames (whose callbacks hold
+        the host) and the channel's contention entries (which hold the
+        MACs), at the end of a simulation; :attr:`stats` stays readable."""
         self._receiver = None
         self._queue.clear()
+        self._contention.heap.clear()
 
     # --------------------------------------------------- channel callbacks
 
@@ -422,12 +455,8 @@ class CsmaCaMac(RadioListener):
             _resume(macs, at_edge=True)
 
     def on_frame_received(self, frame: Any, sender_id: int) -> None:
-        if isinstance(frame, AckFrame):
-            if frame.dst == self.host_id:
-                self._ack_received(sender_id)
-            return
         if isinstance(frame, DataFrame):
-            if frame.is_broadcast:
+            if frame.dst is None:  # broadcast: nearly every frame
                 self.stats.frames_received += 1
                 self._receiver.on_frame_received(frame.payload, frame.src)
             elif frame.dst == self.host_id:
@@ -442,6 +471,10 @@ class CsmaCaMac(RadioListener):
                 self._receiver.on_frame_received(frame.payload, frame.src)
             else:
                 self.stats.overheard += 1
+            return
+        if isinstance(frame, AckFrame):
+            if frame.dst == self.host_id:
+                self._ack_received(sender_id)
             return
         # Raw (non-enveloped) frame, e.g. injected directly in tests.
         self.stats.frames_received += 1
@@ -482,6 +515,7 @@ class CsmaCaMac(RadioListener):
 
     def _access_fire(self) -> None:
         self._access_event = None
+        self._access_seq = None
         self._backoff_remaining = None
         self._countdown_base = None
         self._start_transmission()
@@ -613,25 +647,75 @@ class CsmaCaMac(RadioListener):
         self._maybe_resume()
 
 
+class _Contention:
+    """The contention heap of the MACs on one channel (module docstring)."""
+
+    __slots__ = ("heap", "live")
+
+    def __init__(self) -> None:
+        #: ``(fire_at, seq, mac)`` entries.  An entry is live while its
+        #: MAC's ``_access_seq`` is its ``seq``; the head is live, or the
+        #: heap is empty.
+        self.heap: list = []
+        #: How many entries are live.
+        self.live = 0
+
+
+def _settle(contention: _Contention, change: int) -> None:
+    """``change`` entries became live (or, negative, died or fired): make
+    the earliest live entry the head and arm it if it has no event, or
+    empty the heap if no entry is live."""
+    live = contention.live + change
+    contention.live = live
+    heap = contention.heap
+    if not live:
+        heap.clear()
+        return
+    head = heap[0]
+    while head[2]._access_seq != head[1]:
+        heappop(heap)
+        head = heap[0]
+    mac = head[2]
+    if mac._access_event is None:
+        mac._access_event = mac._scheduler._push(
+            head[0], head[1], _fire_head, contention
+        )
+
+
+def _fire_head(contention: _Contention) -> None:
+    """The head's event: the next live entry is armed, then the head's
+    MAC accesses the medium."""
+    mac = heappop(contention.heap)[2]
+    _settle(contention, -1)
+    mac._access_fire()
+
+
 def _freeze(macs: Sequence[CsmaCaMac]) -> None:
-    """The medium went busy for each of ``macs``: cancel its pending
+    """The medium went busy for each of ``macs``: withdraw its pending
     access and bank the backoff slots that elapsed.  A MAC with nothing
     to contend for leaves the channel's edge subscription.
 
-    Access events are marked cancelled in place; the scheduler hears how
-    many once, at the end.
+    Access events are marked cancelled in place, and contention entries
+    dead; the scheduler and the contention heap hear how many once, at
+    the end.
     """
     first = macs[0]
     scheduler = first._scheduler
     now = scheduler._now
     cancelled = 0
+    withdrawn = 0
     quiet = 0
     for mac in macs:
-        event = mac._access_event
-        if event is not None:
-            event.cancelled = True
-            cancelled += 1
-            mac._access_event = None
+        seq = mac._access_seq
+        if seq is not None:
+            mac._access_seq = None
+            event = mac._access_event
+            if event is not None:
+                event.cancelled = True
+                cancelled += 1
+                mac._access_event = None
+            if seq != _OWN_EVENT:
+                withdrawn += 1
             remaining = mac._backoff_remaining
             base = mac._countdown_base
             if remaining is not None and base is not None:
@@ -656,12 +740,16 @@ def _freeze(macs: Sequence[CsmaCaMac]) -> None:
         first._channel.subscribed &= ~quiet
     if cancelled:
         scheduler._note_cancelled(cancelled)
+    if withdrawn:
+        _settle(first._contention, -withdrawn)
 
 
 def _resume(macs: Sequence[CsmaCaMac], at_edge: bool) -> None:
     """Schedule each of ``macs``' next access completion, if its medium
     allows it: at the end of a DIFS and of the backoff left, counted from
     the later of the host's last idle edge and its last transmission end.
+    The first access gets a scheduler event of its own, the rest
+    contention entries (module docstring).
 
     ``at_edge``: the medium has just gone idle for all of them, so that
     base is now.  Otherwise a MAC that senses a carrier waits for its idle
@@ -671,13 +759,17 @@ def _resume(macs: Sequence[CsmaCaMac], at_edge: bool) -> None:
     first = macs[0]
     scheduler = first._scheduler
     channel = first._channel
+    contention = first._contention
+    heap = contention.heap
     now = scheduler._now
     sensed = channel.sensed
     quiet = 0
+    # The sequence number of the first entry, once the own event is out.
+    entries_from = None
     for mac in macs:
         if (
             mac._transmitting
-            or mac._access_event is not None
+            or mac._access_seq is not None
             or mac._awaiting_ack is not None
         ):
             continue
@@ -707,6 +799,19 @@ def _resume(macs: Sequence[CsmaCaMac], at_edge: bool) -> None:
             fire_at = base + remaining * mac._slot_time
         if fire_at < now:
             fire_at = now
-        mac._access_event = scheduler.schedule_at(fire_at, mac._access_fire)
+        if entries_from is None:
+            mac._access_event = scheduler.schedule_at(fire_at, mac._access_fire)
+            mac._access_seq = _OWN_EVENT
+            entries_from = scheduler._seq
+        else:
+            seq = scheduler._seq
+            scheduler._seq = seq + 1
+            heappush(heap, (fire_at, seq, mac))
+            mac._access_seq = seq
     if quiet:
         channel.subscribed &= ~quiet
+    if entries_from is not None:
+        entries = scheduler._seq - entries_from
+        if entries:
+            scheduler._unpushed += entries
+            _settle(contention, entries)

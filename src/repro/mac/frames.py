@@ -17,24 +17,34 @@ __all__ = ["DataFrame", "AckFrame", "ACK_SIZE_BYTES"]
 ACK_SIZE_BYTES = 14
 
 
-@dataclass(frozen=True)
 class DataFrame:
     """A data frame on the air.  ``dst is None`` means broadcast.
 
     ``mac_seq`` models the 802.11 Sequence Control field: retransmissions
     of a unicast frame reuse the sequence number, letting the receiver ACK
     but not re-deliver duplicates caused by lost ACKs.
+
+    A plain ``__slots__`` class, not a frozen dataclass: the MAC builds
+    one per transmission, and a frozen dataclass's ``__init__`` costs
+    more than twice as much.  Nothing may change a frame once it is on
+    the air.
     """
 
-    src: int
-    dst: Optional[int]
-    payload: Any
-    size_bytes: int
-    mac_seq: int = 0
+    __slots__ = ("src", "dst", "payload", "size_bytes", "mac_seq")
 
-    @property
-    def is_broadcast(self) -> bool:
-        return self.dst is None
+    def __init__(
+        self,
+        src: int,
+        dst: Optional[int],
+        payload: Any,
+        size_bytes: int,
+        mac_seq: int = 0,
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.size_bytes = size_bytes
+        self.mac_seq = mac_seq
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,17 @@ Counter semantics
 -----------------
 ``events_scheduled`` counts every event ever pushed on the heap;
 ``events_processed`` counts the callbacks that actually ran;
-``events_cancelled`` the events withdrawn before firing (MAC backoff
-freezes, scheme S5 inhibits); ``heap_compactions`` how many times the
-scheduler reclaimed cancelled husks in bulk.  A medium edge marks the
-access events of all the MACs it freezes cancelled in place and reports
-them to the scheduler at once, so compaction is checked once per edge,
-not once per cancelled event: ``events_cancelled`` is unchanged by that,
-``heap_compactions`` can differ from per-event checking.
+``events_cancelled`` the pushed events withdrawn before firing (MAC
+backoff freezes, scheme S5 inhibits); ``heap_compactions`` how many times
+the scheduler reclaimed cancelled husks in bulk.  A MAC access waiting
+in the channel's contention heap (:mod:`repro.mac.csma`) is counted only
+once it is pushed, when it becomes the earliest live entry, so an access
+a freeze withdraws before that counts in neither ``events_scheduled``
+nor ``events_cancelled``.  A medium edge marks the access events of all
+the MACs it freezes cancelled in place and reports them to the scheduler
+at once, so compaction is checked once per edge, not once per cancelled
+event: ``events_cancelled`` is unchanged by that, ``heap_compactions``
+can differ from per-event checking.
 ``events_pending_final``/``cancelled_pending_final`` are the heap residue
 (entries left on the heap, and how many of those are cancelled husks) when
 the run ended -- including runs that quiesce early under faults -- closing

@@ -342,6 +342,9 @@ class Channel:
         self.idle_since = np.zeros(n, dtype=np.float64)
         #: Hosts whose listeners get medium edges.
         self.subscribed = 0
+        #: The attached MACs' shared contention heap (see
+        #: :mod:`repro.mac.csma`), made by the first of them.
+        self.contention: Any = None
         #: Capture only: per-receiver arrival-ordered ``{sender: power}``.
         self._inboxes: Optional[List[Dict[int, float]]] = (
             [{} for _ in range(n)] if capture is not None else None

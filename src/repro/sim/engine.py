@@ -10,6 +10,12 @@ Two events scheduled for the same instant are ordered by ``(time, priority,
 sequence)``.  ``sequence`` is a monotonically increasing insertion counter, so
 ties fall back to FIFO order.  Given the same seed (see
 :class:`repro.sim.randomness.RandomStreams`), a simulation replays exactly.
+
+A caller that keeps timers of its own may draw sequence numbers from
+``_seq`` without pushing an event, and push one later under a number it
+drew (:meth:`Scheduler._push`): the MACs' contention heap
+(:mod:`repro.mac.csma`) does, so its timers fire where events scheduled
+when they were drawn would have.
 """
 
 from __future__ import annotations
@@ -98,8 +104,9 @@ class Scheduler:
     NEGATIVE_DELAY_EPSILON = 1e-12
 
     __slots__ = (
-        "_queue", "_seq", "_now", "_running", "_events_processed",
-        "_cancelled_in_queue", "_cancels", "_compactions",
+        "_queue", "_seq", "_unpushed", "_now", "_running",
+        "_events_processed", "_cancelled_in_queue", "_cancels",
+        "_compactions",
     )
 
     def __init__(self) -> None:
@@ -108,6 +115,9 @@ class Scheduler:
         # the comparison never reaches the event object).
         self._queue: List[tuple] = []
         self._seq = 0
+        #: Sequence numbers drawn from ``_seq`` with no event pushed under
+        #: them (yet); whoever draws one adds it here.
+        self._unpushed = 0
         self._now = 0.0
         self._running = False
         self._events_processed = 0
@@ -127,8 +137,9 @@ class Scheduler:
 
     @property
     def events_scheduled(self) -> int:
-        """Number of events ever scheduled (executed, pending or cancelled)."""
-        return self._seq
+        """Number of events ever pushed on the heap (executed, pending or
+        cancelled)."""
+        return self._seq - self._unpushed
 
     @property
     def events_cancelled(self) -> int:
@@ -207,6 +218,19 @@ class Scheduler:
         event = Event(time, priority, seq, fn, args)
         event._sched = self
         heapq.heappush(self._queue, (time, priority, seq, event))
+        return event
+
+    def _push(
+        self, time: float, seq: int, fn: Callable[..., Any], *args: Any
+    ) -> Event:
+        """Push ``fn(*args)`` at ``time`` (priority 0) under ``seq``, a
+        sequence number drawn from ``_seq`` earlier and counted in
+        ``_unpushed``: it fires where an event scheduled when ``seq`` was
+        drawn would have."""
+        self._unpushed -= 1
+        event = Event(time, 0, seq, fn, args)
+        event._sched = self
+        heapq.heappush(self._queue, (time, 0, seq, event))
         return event
 
     def schedule(

@@ -3,6 +3,8 @@
 import pickle
 from types import SimpleNamespace
 
+import pytest
+
 from repro.experiments.figures.common import set_default_executor
 from repro.experiments.parallel import config_digest
 from repro.experiments.report import generate_report
@@ -60,3 +62,43 @@ def test_every_reduced_report_run_can_be_cached_and_pooled():
         pickle.dumps(config)
     assert len(configs) == 123
     assert len(digests) == 99
+
+
+def test_main_runs_the_report_on_the_runner_its_flags_ask_for(
+    tmp_path, monkeypatch, capsys
+):
+    """``--jobs`` and ``--cache-dir`` build the figure commands' runner,
+    installed only while the report is generated; the body goes to
+    stdout and the runner's perf line to stderr."""
+    from repro.experiments import report
+    from repro.experiments.figures import common
+
+    seen = []
+
+    def fake_generate_report(maps, num_broadcasts, progress):
+        seen.append((common._default_executor, maps, num_broadcasts))
+        return "BODY"
+
+    monkeypatch.setattr(report, "generate_report", fake_generate_report)
+    cache = tmp_path / "cache"
+    assert report.main(["--jobs", "2", "--cache-dir", str(cache)]) == 0
+    ((runner, maps, n),) = seen
+    assert runner.max_workers == 2
+    assert runner.cache.directory == cache
+    assert (maps, n) == ((1, 5, 9), 30)
+    assert common._default_executor is None
+    out, err = capsys.readouterr()
+    assert out == "BODY\n"
+    assert "[perf] runs=0 simulated=0" in err
+
+    assert report.main(["--full"]) == 0
+    runner, maps, n = seen[-1]
+    assert runner.max_workers == 1 and runner.cache is None
+    assert (maps, n) == ((1, 3, 5, 7, 9, 11), 100)
+
+
+def test_main_rejects_a_negative_worker_count():
+    from repro.experiments.report import main
+
+    with pytest.raises(SystemExit, match="--jobs must be >= 0"):
+        main(["--jobs", "-1"])

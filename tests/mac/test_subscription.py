@@ -2,10 +2,11 @@
 
 The channel records every carrier edge in its ``sensed`` host bitset
 and ``idle_since`` array and hands edges only to subscribed hosts.  A
-MAC unsubscribes only while it would ignore every edge: no access
-event, no backoff and no live queued frame.  These tests step whole
-networks one event at a time and check that contract after every event,
-and pin the carrier-state defaults the MAC reads from the channel.
+MAC unsubscribes only while it would ignore every edge: no pending
+access (an event of its own or a contention entry), no backoff and no
+live queued frame.  These tests step whole networks one event at a time
+and check that contract after every event, and pin the carrier-state
+defaults the MAC reads from the channel.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def quiescence_violations(network):
         if subscribed[mac.host_id]:
             continue
         if (
-            mac._access_event is not None
+            mac._access_seq is not None
             or mac._backoff_remaining is not None
             or any(not handle.cancelled for handle in mac._queue)
         ):
@@ -84,9 +85,39 @@ def quiescence_violations(network):
     return bad
 
 
+def contention_violations(network):
+    """Breaches of the contention heap's invariants: the live count is
+    the number of MACs waiting in the heap, and the head is the earliest
+    of their entries and holds a scheduler event at its instant and
+    under its sequence number; with no entry live the heap is empty."""
+    contention = network.channel.contention
+    waiting = [
+        host.mac for host in network.hosts
+        if host.mac._access_seq is not None and host.mac._access_seq >= 0
+    ]
+    heap = contention.heap
+    if contention.live != len(waiting):
+        return [f"live {contention.live} != {len(waiting)} waiting MACs"]
+    if not waiting:
+        return [f"{len(heap)} dead entries kept"] if heap else []
+    live = sorted(
+        entry for entry in heap if entry[2]._access_seq == entry[1]
+    )
+    if len(live) != len(waiting):
+        return [f"{len(live)} live entries for {len(waiting)} waiting MACs"]
+    head = heap[0]
+    event = head[2]._access_event
+    if head is not live[0]:
+        return [f"head {head[:2]} is not the earliest live {live[0][:2]}"]
+    if event is None or (event.time, event.seq) != head[:2]:
+        return [f"head {head[:2]} is not armed"]
+    return []
+
+
 def step_and_check(scheduler, network, until):
-    """Run to ``until`` one event at a time, checking the contract after
-    each; returns (events, host-events spent unsubscribed)."""
+    """Run to ``until`` one event at a time, checking the contract and
+    the contention heap after each; returns (events, host-events spent
+    unsubscribed)."""
     events = 0
     unsubscribed = 0
     while True:
@@ -97,9 +128,11 @@ def step_and_check(scheduler, network, until):
         events += 1
         bad = quiescence_violations(network)
         assert not bad, (
-            f"t={scheduler.now}: unsubscribed MACs {bad} have an access "
-            f"event, a backoff or a queued frame"
+            f"t={scheduler.now}: unsubscribed MACs {bad} have a pending "
+            f"access, a backoff or a queued frame"
         )
+        bad = contention_violations(network)
+        assert not bad, f"t={scheduler.now}: {bad}"
         unsubscribed += host_flags(
             network.channel.subscribed, len(network.hosts)
         ).count(False)

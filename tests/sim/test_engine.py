@@ -253,6 +253,26 @@ def test_compaction_keeps_fifo_ties(scheduler):
     assert fired == list(range(10))
 
 
+# ------------------------------------------ drawn sequence numbers
+
+
+def test_an_event_pushed_under_a_drawn_seq_fires_in_its_place(scheduler):
+    """A sequence number drawn without a push keeps its place among
+    same-time events, and counts as scheduled only once it is pushed."""
+    fired = []
+    drawn = scheduler._seq
+    scheduler._seq = drawn + 1
+    scheduler._unpushed += 1
+    scheduler.schedule(1.0, fired.append, "scheduled after the draw")
+    assert scheduler.events_scheduled == 1
+    event = scheduler._push(1.0, drawn, fired.append, "drawn first")
+    assert event.seq == drawn
+    assert scheduler.events_scheduled == 2
+    scheduler.run()
+    assert fired == ["drawn first", "scheduled after the draw"]
+    assert scheduler.events_processed == scheduler.events_scheduled
+
+
 # ------------------------------------------------- ordering invariants
 
 

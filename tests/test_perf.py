@@ -169,6 +169,24 @@ def test_early_quiescent_fault_run_still_reports_residue():
     assert_disposition_invariant(perf)
 
 
+def test_dense_flooding_schedules_few_events_it_never_runs():
+    """On the 1x1 map every edge reaches every contending MAC.  With one
+    event per access, 4.6 events were scheduled per event run, most of
+    them accesses a backoff freeze cancelled; the contention heap gives
+    only the first access of an edge and the earliest waiting one an
+    event."""
+    result = run_broadcast_simulation(
+        small_config(
+            scheme="flooding", map_units=1, num_hosts=100, num_broadcasts=10,
+            seed=1,
+        )
+    )
+    perf = result.perf
+    assert perf.events_processed == result.events_processed > 5000
+    assert perf.events_scheduled <= 1.5 * perf.events_processed
+    assert_disposition_invariant(perf)
+
+
 def test_residue_counters_survive_as_dict_roundtrip(result):
     exported = result.perf.as_dict()
     assert "events_pending_final" in exported

@@ -113,10 +113,14 @@ def test_rad_wait_pairs_with_defer(family):
 # ------------------------------------------------------ per-family goldens
 
 
+def families(*names):
+    """Run a per-family test against ``names``' traced runs only."""
+    return pytest.mark.parametrize("family", names, indirect=True)
+
+
+@families("flooding")
 def test_flooding_provenance_is_empty_and_never_suppresses(family):
-    name, _, _, decisions = family
-    if name != "flooding":
-        pytest.skip("flooding only")
+    _, _, _, decisions = family
     # Flooding never inhibits -- but it does record "assess" steps for
     # duplicates heard while its own copy sits in the MAC queue.
     assert {d["verdict"] for d in decisions} <= {
@@ -128,10 +132,9 @@ def test_flooding_provenance_is_empty_and_never_suppresses(family):
     assert len(verdicts["defer"]) == len(verdicts["rebroadcast"])
 
 
+@families("adaptive-counter")
 def test_adaptive_counter_provenance(family):
-    name, _, _, decisions = family
-    if name != "adaptive-counter":
-        pytest.skip("adaptive-counter only")
+    _, _, _, decisions = family
     fn = make_counter_threshold()
     for d in decisions:
         assert d["n"] is not None and d["n"] >= 0
@@ -146,10 +149,9 @@ def test_adaptive_counter_provenance(family):
         # n is re-read at on-air time, after the last assessment.
 
 
+@families("adaptive-location")
 def test_adaptive_location_provenance(family):
-    name, _, _, decisions = family
-    if name != "adaptive-location":
-        pytest.skip("adaptive-location only")
+    _, _, _, decisions = family
     fn = make_location_threshold()
     for d in decisions:
         assert d["n"] is not None and d["n"] >= 0
@@ -164,10 +166,9 @@ def test_adaptive_location_provenance(family):
             assert d["observed"] >= d["threshold"], d
 
 
+@families("nc-dhi", "neighbor-coverage")
 def test_neighbor_coverage_provenance(family):
-    name, _, _, decisions = family
-    if name not in ("neighbor-coverage", "nc-dhi"):
-        pytest.skip("NC family only")
+    _, _, _, decisions = family
     for d in decisions:
         assert d["n"] is not None and d["n"] >= 0
         assert d["threshold"] == 0  # inhibit iff the pending set is empty
@@ -179,9 +180,8 @@ def test_neighbor_coverage_provenance(family):
             assert d["observed"] > 0, d
 
 
+@families("nc-dhi")
 def test_nc_dhi_actually_used_dynamic_hellos(family):
-    name, result, _, _ = family
-    if name != "nc-dhi":
-        pytest.skip("nc-dhi only")
+    _, result, _, _ = family
     assert result.config.hello.dynamic
     assert result.hellos > 0
