@@ -14,9 +14,10 @@ random sources toward random destinations and measures, per scheme:
   needed, reported separately so the comparison stays honest;
 - **discovery latency**: time until the destination heard the request.
 
-This example measures the RREQ *dissemination* itself; see
-``examples/aodv_routing.py`` for the full protocol (route replies, data
-forwarding, re-discovery) built on the same schemes.
+This example measures the RREQ *dissemination* itself, which rides the
+broadcast path alone.  Route replies and data forwarding would need
+acknowledged unicast, which the paper's 802.11 broadcast MAC (and this
+simulator's) does not have.
 
 Run:  python examples/route_discovery.py
 """

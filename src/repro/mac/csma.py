@@ -1,6 +1,6 @@
-"""Per-host CSMA/CA distributed coordination function.
+"""Per-host CSMA/CA distributed coordination function, broadcast only.
 
-Broadcast behaviour (DCF, IEEE Std 802.11-1997, the paper's regime):
+Behaviour (DCF, IEEE Std 802.11-1997, the paper's regime):
 
 - A frame arriving at an idle MAC whose medium has been idle for at least
   DIFS is transmitted immediately; if the idle period is shorter, the MAC
@@ -12,8 +12,12 @@ Broadcast behaviour (DCF, IEEE Std 802.11-1997, the paper's regime):
   the medium goes busy and resumes (not redraws) on the next idle DIFS.
 - After **every** transmission the MAC performs a post-transmission backoff,
   even with an empty queue.
-- Broadcast frames are never acknowledged or retransmitted and never grow
-  the contention window.
+- Frames are never acknowledged or retransmitted, so the contention
+  window stays at ``cw_min``.
+
+The MAC puts the upper-layer packet itself on the air, since a broadcast
+frame has no destination to add, and passes each clean reception up with
+the channel's ``sender_id``.
 
 Carrier sense is read from the channel's per-host state (the host's bit
 of :attr:`~repro.phy.channel.Channel.sensed` and its
@@ -41,16 +45,6 @@ A freeze only marks its MACs' entries dead (and cancels the events of
 those that hold one); the head is re-armed when it fires or dies, and
 the heap is emptied at once when no live entry is left.
 
-Unicast behaviour (used by the routing substrate, not by the paper's
-broadcast schemes):
-
-- Unicast data frames are acknowledged by the receiver one SIFS after
-  reception (ACKs do not contend for the medium; SIFS < DIFS gives them
-  priority).
-- A sender missing the ACK retries with a doubled contention window
-  (up to ``cw_max``), at most ``retry_limit`` retransmissions, then reports
-  failure.  The contention window resets on success or final failure.
-
 The scheme layer interacts through :meth:`CsmaCaMac.send`, which returns a
 :class:`MacFrameHandle`; the paper's scheme step S5 ("cancel the
 transmission of P") maps to :meth:`MacFrameHandle.cancel`, legal any time
@@ -66,16 +60,12 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Deque, Dict, Optional, Sequence
 
-from repro.mac.frames import AckFrame, DataFrame
 from repro.phy.channel import Channel, RadioListener
 from repro.phy.params import PhyParams
 from repro.sim.engine import Event, Scheduler
 from repro.trace.recorder import frame_ident
 
 __all__ = ["CsmaCaMac", "MacFrameHandle", "MacReceiver", "MacStats"]
-
-#: Maximum retransmissions of a unicast frame (802.11 short retry limit).
-DEFAULT_RETRY_LIMIT = 7
 
 #: ``CsmaCaMac._access_seq`` of an access with a scheduler event of its own
 #: (the contention heap's entries have their ``seq``, which is >= 0).
@@ -103,30 +93,17 @@ class MacStats:
     every frame event)."""
 
     __slots__ = (
-        "frames_sent", "broadcast_frames_sent", "unicast_frames_sent",
-        "frames_cancelled", "frames_flushed", "frames_received",
-        "frames_corrupted", "backoffs_started", "unicast_attempts",
-        "unicast_delivered", "unicast_failed", "retries", "acks_sent",
-        "acks_suppressed", "overheard", "duplicates_filtered",
+        "frames_sent", "frames_cancelled", "frames_flushed",
+        "frames_received", "frames_corrupted", "backoffs_started",
     )
 
     def __init__(self) -> None:
         self.frames_sent = 0
-        self.broadcast_frames_sent = 0
-        self.unicast_frames_sent = 0
         self.frames_cancelled = 0
         self.frames_flushed = 0  # queued frames discarded by a crash/shutdown
         self.frames_received = 0
         self.frames_corrupted = 0
         self.backoffs_started = 0
-        self.unicast_attempts = 0
-        self.unicast_delivered = 0
-        self.unicast_failed = 0
-        self.retries = 0
-        self.acks_sent = 0
-        self.acks_suppressed = 0  # could not ACK (was transmitting)
-        self.overheard = 0  # unicast frames addressed to someone else
-        self.duplicates_filtered = 0  # retransmissions not re-delivered
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MacStats):
@@ -149,31 +126,20 @@ class MacFrameHandle:
     """A queued frame; lets the sender cancel it before it is on the air."""
 
     __slots__ = (
-        "frame", "size_bytes", "dst", "on_transmit_start", "on_complete",
-        "cancelled", "transmitted", "attempts", "mac_seq",
+        "frame", "size_bytes", "on_transmit_start", "cancelled", "transmitted",
     )
 
     def __init__(
         self,
         frame: Any,
         size_bytes: int,
-        dst: Optional[int],
         on_transmit_start: Optional[Callable[[], None]],
-        on_complete: Optional[Callable[[bool], None]] = None,
     ) -> None:
         self.frame = frame
         self.size_bytes = size_bytes
-        self.dst = dst
         self.on_transmit_start = on_transmit_start
-        self.on_complete = on_complete
         self.cancelled = False
         self.transmitted = False
-        self.attempts = 0
-        self.mac_seq = 0
-
-    @property
-    def is_unicast(self) -> bool:
-        return self.dst is not None
 
     def cancel(self) -> bool:
         """Withdraw the frame.  Returns ``True`` if it had not yet started
@@ -192,14 +158,11 @@ class CsmaCaMac(RadioListener):
 
     __slots__ = (
         "host_id", "_scheduler", "_channel", "_params", "_rng", "_receiver",
-        "_retry_limit", "stats", "_queue", "_transmitting", "_bit",
-        "_idle_since", "_last_tx_end", "_cw",
-        "_backoff_remaining", "_countdown_base", "_access_event",
-        "_access_seq", "_contention", "_awaiting_ack",
-        "_ack_timeout_event", "_tx_done_event", "_pending_ack_txs", "_dead",
-        "_tx_seq", "_last_rx_seq", "_difs", "_slot_time", "_sifs",
-        "_airtime_cache", "_ack_airtime", "_ack_timeout_delay",
-        "_notify_corrupt", "_trace",
+        "stats", "_queue", "_transmitting", "_bit", "_idle_since",
+        "_last_tx_end", "_cw_min", "_backoff_remaining", "_countdown_base",
+        "_access_event", "_access_seq", "_contention", "_tx_done_event",
+        "_dead", "_difs", "_slot_time", "_airtime_cache", "_notify_corrupt",
+        "_trace",
     )
 
     def __init__(
@@ -210,7 +173,6 @@ class CsmaCaMac(RadioListener):
         params: PhyParams,
         rng: random.Random,
         receiver: MacReceiver,
-        retry_limit: int = DEFAULT_RETRY_LIMIT,
         trace: Optional[Any] = None,
     ) -> None:
         self.host_id = host_id
@@ -219,7 +181,6 @@ class CsmaCaMac(RadioListener):
         self._params = params
         self._rng = rng
         self._receiver = receiver
-        self._retry_limit = retry_limit
         self._trace = trace
         self.stats = MacStats()
 
@@ -227,12 +188,7 @@ class CsmaCaMac(RadioListener):
         # precompute frame airtimes (the same few sizes recur all run).
         self._difs = params.difs
         self._slot_time = params.slot_time
-        self._sifs = params.sifs
         self._airtime_cache: Dict[int, float] = {}
-        self._ack_airtime = params.airtime(AckFrame.size_bytes)
-        self._ack_timeout_delay = (
-            params.sifs + self._ack_airtime + 2 * params.slot_time
-        )
         self._notify_corrupt = getattr(
             receiver, "handles_corrupted_frames", True
         )
@@ -243,7 +199,9 @@ class CsmaCaMac(RadioListener):
         self._bit = 1 << host_id
         self._idle_since = channel.idle_since
         self._last_tx_end = 0.0
-        self._cw = params.cw_min
+        #: The contention window, which never grows: no frame is ever
+        #: retransmitted.
+        self._cw_min = params.cw_min
         self._backoff_remaining: Optional[int] = None
         self._countdown_base: Optional[float] = None
         #: The pending access: ``_OWN_EVENT`` while it has a scheduler
@@ -257,14 +215,8 @@ class CsmaCaMac(RadioListener):
         if contention is None:
             contention = channel.contention = _Contention()
         self._contention = contention
-        self._awaiting_ack: Optional[MacFrameHandle] = None
-        self._ack_timeout_event: Optional[Event] = None
         self._tx_done_event: Optional[Event] = None
-        self._pending_ack_txs: list = []  # scheduled SIFS->ACK events
         self._dead = False
-        self._tx_seq = 0
-        #: Last delivered unicast mac_seq per sender (duplicate detection).
-        self._last_rx_seq: dict = {}
 
         channel.attach(host_id, self)
 
@@ -276,43 +228,17 @@ class CsmaCaMac(RadioListener):
         size_bytes: int,
         on_transmit_start: Optional[Callable[[], None]] = None,
     ) -> MacFrameHandle:
-        """Queue ``frame`` for **broadcast** transmission.
+        """Queue ``frame`` for broadcast transmission.
 
         ``on_transmit_start`` fires at the instant the frame goes on the air
         (the scheme's "transmission actually starts").  The returned handle
         supports :meth:`MacFrameHandle.cancel`.
         """
-        handle = MacFrameHandle(frame, size_bytes, None, on_transmit_start)
-        return self._enqueue(handle)
-
-    def send_unicast(
-        self,
-        frame: Any,
-        size_bytes: int,
-        dst: int,
-        on_complete: Optional[Callable[[bool], None]] = None,
-        on_transmit_start: Optional[Callable[[], None]] = None,
-    ) -> MacFrameHandle:
-        """Queue ``frame`` for acknowledged unicast transmission to ``dst``.
-
-        ``on_complete(success)`` fires when the frame is ACKed or finally
-        dropped after the retry limit.
-        """
-        if dst == self.host_id:
-            raise ValueError("unicast to self")
-        handle = MacFrameHandle(
-            frame, size_bytes, dst, on_transmit_start, on_complete
-        )
-        self.stats.unicast_attempts += 1
-        return self._enqueue(handle)
-
-    def _enqueue(self, handle: MacFrameHandle) -> MacFrameHandle:
         if self._dead:
             raise RuntimeError(f"host {self.host_id}: MAC is shut down")
-        self._tx_seq += 1
-        handle.mac_seq = self._tx_seq
+        handle = MacFrameHandle(frame, size_bytes, on_transmit_start)
         if self._trace is not None:
-            kind, src, seq, _hops = frame_ident(handle.frame)
+            kind, src, seq, _hops = frame_ident(frame)
             self._trace.records.append((
                 self._scheduler._now, "mac-enqueue", self.host_id, kind,
                 src, seq,
@@ -320,11 +246,7 @@ class CsmaCaMac(RadioListener):
         self._queue.append(handle)
         channel = self._channel
         channel.subscribed |= self._bit
-        if (
-            self._transmitting
-            or self._access_seq is not None
-            or self._awaiting_ack is not None
-        ):
+        if self._transmitting or self._access_seq is not None:
             return handle
         if channel.sensed & self._bit:
             # Deferred arrival: access must use the backoff procedure.
@@ -355,11 +277,6 @@ class CsmaCaMac(RadioListener):
         return self._transmitting
 
     @property
-    def contention_window(self) -> int:
-        """Current CW (grows on unicast retries, resets on resolution)."""
-        return self._cw
-
-    @property
     def is_shut_down(self) -> bool:
         return self._dead
 
@@ -370,10 +287,8 @@ class CsmaCaMac(RadioListener):
 
         Aborts any in-flight transmission at the channel, withdraws the
         pending access (its event or contention entry; no ``mac-freeze``
-        record), cancels every other pending MAC event (ACK timeout,
-        tx-done, queued SIFS->ACK responses), flushes the queue --
-        unicast frames report failure to their ``on_complete`` -- and
-        detaches from the channel.  Idempotent.
+        record), cancels the tx-done event, flushes the queue and detaches
+        from the channel.  Idempotent.
         """
         if self._dead:
             return
@@ -383,33 +298,19 @@ class CsmaCaMac(RadioListener):
             self._transmitting = False
         withdrawn = self._access_seq
         self._access_seq = None
-        for event in (
-            self._access_event, self._ack_timeout_event, self._tx_done_event,
-        ):
+        for event in (self._access_event, self._tx_done_event):
             if event is not None:
                 event.cancel()
         self._access_event = None
-        self._ack_timeout_event = None
         self._tx_done_event = None
         if withdrawn is not None and withdrawn != _OWN_EVENT:
             _settle(self._contention, -1)
-        for event in self._pending_ack_txs:
-            event.cancel()
-        self._pending_ack_txs.clear()
-        pending = list(self._queue)
-        if self._awaiting_ack is not None:
-            pending.append(self._awaiting_ack)
-            self._awaiting_ack = None
+        self.stats.frames_flushed += sum(
+            1 for handle in self._queue if not handle.cancelled
+        )
         self._queue.clear()
-        for handle in pending:
-            if handle.cancelled:
-                continue
-            self.stats.frames_flushed += 1
-            if handle.is_unicast and handle.on_complete is not None:
-                handle.on_complete(False)
         self._backoff_remaining = None
         self._countdown_base = None
-        self._cw = self._params.cw_min
         self._channel.detach(self.host_id)
 
     def restart(self) -> None:
@@ -455,37 +356,13 @@ class CsmaCaMac(RadioListener):
             _resume(macs, at_edge=True)
 
     def on_frame_received(self, frame: Any, sender_id: int) -> None:
-        if isinstance(frame, DataFrame):
-            if frame.dst is None:  # broadcast: nearly every frame
-                self.stats.frames_received += 1
-                self._receiver.on_frame_received(frame.payload, frame.src)
-            elif frame.dst == self.host_id:
-                # Always ACK; deliver only if not a retransmission we have
-                # already passed up (802.11 duplicate detection).
-                self._schedule_ack(frame.src)
-                if self._last_rx_seq.get(frame.src, 0) >= frame.mac_seq:
-                    self.stats.duplicates_filtered += 1
-                    return
-                self._last_rx_seq[frame.src] = frame.mac_seq
-                self.stats.frames_received += 1
-                self._receiver.on_frame_received(frame.payload, frame.src)
-            else:
-                self.stats.overheard += 1
-            return
-        if isinstance(frame, AckFrame):
-            if frame.dst == self.host_id:
-                self._ack_received(sender_id)
-            return
-        # Raw (non-enveloped) frame, e.g. injected directly in tests.
         self.stats.frames_received += 1
         self._receiver.on_frame_received(frame, sender_id)
 
     def on_frame_corrupted(self, frame: Any, sender_id: int) -> None:
         self.stats.frames_corrupted += 1
-        if not self._notify_corrupt or isinstance(frame, AckFrame):
-            return
-        payload = frame.payload if isinstance(frame, DataFrame) else frame
-        self._receiver.on_frame_corrupted(payload, sender_id)
+        if self._notify_corrupt:
+            self._receiver.on_frame_corrupted(frame, sender_id)
 
     # ------------------------------------------------------------ internals
 
@@ -501,11 +378,11 @@ class CsmaCaMac(RadioListener):
         self._channel.subscribed |= self._bit
         self.stats.backoffs_started += 1
         # ``randint(0, cw)`` reduces to exactly this draw.
-        slots = self._rng._randbelow(self._cw + 1)
+        slots = self._rng._randbelow(self._cw_min + 1)
         if self._trace is not None:
             self._trace.records.append((
                 self._scheduler._now, "mac-backoff", self.host_id, slots,
-                self._cw,
+                self._cw_min,
             ))
         return slots
 
@@ -521,9 +398,6 @@ class CsmaCaMac(RadioListener):
         self._start_transmission()
 
     def _start_transmission(self) -> None:
-        if self._transmitting:
-            # An ACK response grabbed the radio; retry once it is done.
-            return
         while self._queue and self._queue[0].cancelled:
             self._queue.popleft()
             self.stats.frames_cancelled += 1
@@ -531,119 +405,23 @@ class CsmaCaMac(RadioListener):
             return
         handle = self._queue.popleft()
         handle.transmitted = True
-        handle.attempts += 1
         self._transmitting = True
         self.stats.frames_sent += 1
-        if handle.is_unicast:
-            self.stats.unicast_frames_sent += 1
-        else:
-            self.stats.broadcast_frames_sent += 1
         duration = self._airtime(handle.size_bytes)
         on_transmit_start = handle.on_transmit_start
         if on_transmit_start is not None:
-            # It fires once, on the first attempt, and is dropped then.
+            # Dropped once fired, as by ``cancel``: whatever holds the
+            # handle need not hold the callback too.
             handle.on_transmit_start = None
             on_transmit_start()
-        envelope = DataFrame(
-            src=self.host_id,
-            dst=handle.dst,
-            payload=handle.frame,
-            size_bytes=handle.size_bytes,
-            mac_seq=handle.mac_seq,
-        )
-        self._channel.start_transmission(self.host_id, envelope, duration)
-        self._tx_done_event = self._scheduler.schedule(
-            duration, self._tx_done, handle
-        )
+        self._channel.start_transmission(self.host_id, handle.frame, duration)
+        self._tx_done_event = self._scheduler.schedule(duration, self._tx_done)
 
-    def _tx_done(self, handle: MacFrameHandle) -> None:
+    def _tx_done(self) -> None:
         self._tx_done_event = None
         self._transmitting = False
         self._last_tx_end = self._scheduler._now
-        if handle.is_unicast:
-            self._await_ack(handle)
-            return
         self._backoff_remaining = self._draw_backoff()
-        self._maybe_resume()
-
-    # ------------------------------------------------------------- unicast
-
-    def _ack_timeout_interval(self) -> float:
-        return self._ack_timeout_delay
-
-    def _await_ack(self, handle: MacFrameHandle) -> None:
-        self._awaiting_ack = handle
-        self._ack_timeout_event = self._scheduler.schedule(
-            self._ack_timeout_interval(), self._ack_timeout
-        )
-
-    def _ack_received(self, acker_id: int) -> None:
-        handle = self._awaiting_ack
-        if handle is None or handle.dst != acker_id:
-            return
-        self._awaiting_ack = None
-        if self._ack_timeout_event is not None:
-            self._ack_timeout_event.cancel()
-            self._ack_timeout_event = None
-        self.stats.unicast_delivered += 1
-        self._cw = self._params.cw_min
-        if handle.on_complete is not None:
-            handle.on_complete(True)
-        self._backoff_remaining = self._draw_backoff()
-        self._maybe_resume()
-
-    def _ack_timeout(self) -> None:
-        handle = self._awaiting_ack
-        self._awaiting_ack = None
-        self._ack_timeout_event = None
-        if handle is None:
-            return
-        if handle.attempts > self._retry_limit:
-            self.stats.unicast_failed += 1
-            self._cw = self._params.cw_min
-            if handle.on_complete is not None:
-                handle.on_complete(False)
-        else:
-            self.stats.retries += 1
-            self._cw = min(2 * self._cw + 1, self._params.cw_max)
-            self._queue.appendleft(handle)
-        self._backoff_remaining = self._draw_backoff()
-        self._maybe_resume()
-
-    def _schedule_ack(self, dst: int) -> None:
-        event = self._scheduler.schedule(
-            self._sifs, self._transmit_ack, dst
-        )
-        self._pending_ack_txs.append(event)
-
-    def _transmit_ack(self, dst: int) -> None:
-        self._pending_ack_txs = [
-            e for e in self._pending_ack_txs if not e.cancelled and e.time
-            > self._scheduler.now
-        ]
-        if self._dead:
-            return
-        if self._transmitting:
-            # Radio busy with our own frame: the ACK is lost (the sender
-            # will retry).  Rare, but physically accurate for half-duplex.
-            self.stats.acks_suppressed += 1
-            return
-        # The ACK preempts normal access (SIFS < DIFS); cancel any pending
-        # access attempt and resume contention after the ACK is out.
-        _freeze((self,))
-        self._transmitting = True
-        self.stats.acks_sent += 1
-        ack = AckFrame(src=self.host_id, dst=dst)
-        duration = self._ack_airtime
-        self._channel.start_transmission(self.host_id, ack, duration)
-        self._tx_done_event = self._scheduler.schedule(
-            duration, self._ack_tx_done
-        )
-
-    def _ack_tx_done(self) -> None:
-        self._tx_done_event = None
-        self._transmitting = False
-        self._last_tx_end = self._scheduler.now
         self._maybe_resume()
 
 
@@ -767,11 +545,7 @@ def _resume(macs: Sequence[CsmaCaMac], at_edge: bool) -> None:
     # The sequence number of the first entry, once the own event is out.
     entries_from = None
     for mac in macs:
-        if (
-            mac._transmitting
-            or mac._access_seq is not None
-            or mac._awaiting_ack is not None
-        ):
+        if mac._transmitting or mac._access_seq is not None:
             continue
         if at_edge:
             base = now

@@ -75,8 +75,7 @@ class MobileHost:
     __slots__ = (
         "host_id", "scheduler", "channel", "params", "mobility", "scheme",
         "metrics", "scheme_rng", "_hello_rng", "hello_config",
-        "oracle_neighbors", "slot_time", "packet_observers",
-        "unicast_handler", "dup_cache", "neighbor_table", "mac",
+        "oracle_neighbors", "slot_time", "dup_cache", "neighbor_table", "mac",
         "hello_enabled", "_hello_started", "_hello_event",
         "_hello_muted_until", "alive", "_airtime_cache", "trace",
         "position_store",
@@ -117,13 +116,6 @@ class MobileHost:
         self.trace = trace
 
         self.slot_time = params.slot_time
-        #: Callbacks ``(packet, sender_id)`` invoked on the *first*
-        #: successful reception of each broadcast packet (before the scheme
-        #: runs S1).  The routing layer hooks reverse-route learning here.
-        self.packet_observers: list = []
-        #: Handler for unicast payloads addressed to this host (set by the
-        #: routing agent); unhandled unicast payloads raise.
-        self.unicast_handler = None
         #: This host's handle on the network's
         #: :class:`~repro.net.dupcache.DuplicateStore`.
         self.dup_cache = dup_cache
@@ -284,8 +276,6 @@ class MobileHost:
                         frame.seq, self.host_id, sender_id,
                     ))
                 self.metrics.on_receive(key, self.host_id, self.scheduler.now)
-                for observer in self.packet_observers:
-                    observer(frame, sender_id)
                 self.scheme.on_first_hear(frame, sender_id, frame.tx_position)
             else:
                 if trace is not None:
@@ -294,9 +284,6 @@ class MobileHost:
                         frame.seq, self.host_id, sender_id,
                     ))
                 self.scheme.on_hear_again(frame, sender_id, frame.tx_position)
-            return
-        if self.unicast_handler is not None:
-            self.unicast_handler(frame, sender_id)
             return
         raise TypeError(f"host {self.host_id} received unknown frame {frame!r}")
 

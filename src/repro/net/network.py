@@ -6,7 +6,6 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.mac.frames import DataFrame
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.connectivity import reachable_rows
 from repro.mobility.map import RectMap
@@ -119,19 +118,17 @@ class Network:
         self.channel.bulk_delivery = self._absorb_hellos
 
     def _absorb_hellos(self, frame: Any, receivers: np.ndarray) -> bool:
-        """The channel's bulk-delivery hook: a broadcast HELLO enters all
-        its clean receivers' neighbor tables at once.
+        """The channel's bulk-delivery hook: a HELLO, which the MAC puts on
+        the air as it is, enters all its clean receivers' neighbor tables
+        at once.
 
         It stands in for each receiver's host -> neighbor-table upcall
         (the channel counts the MAC ``frames_received`` bumps).  Any other
         frame is declined, for the upcalls.
         """
-        if not isinstance(frame, DataFrame) or frame.dst is not None:
+        if not isinstance(frame, HelloPacket):
             return False
-        hello = frame.payload
-        if not isinstance(hello, HelloPacket):
-            return False
-        self.neighbor_store.absorb(hello, receivers, self.scheduler._now)
+        self.neighbor_store.absorb(frame, receivers, self.scheduler._now)
         return True
 
     # ------------------------------------------------------------- queries

@@ -28,20 +28,18 @@ __all__ = ["TraceRecorder", "frame_ident"]
 def frame_ident(frame: Any) -> Tuple[str, int, int, int]:
     """``(kind, src, seq, hops)`` identity of any on-air frame.
 
-    Unwraps MAC :class:`~repro.mac.frames.DataFrame` envelopes via their
-    ``payload`` attribute and duck-types the payload, so the channel can
-    trace without importing the net layer: broadcast copies report their
-    global key and hop count, HELLOs their sender, anything else its
-    lowered class name with ``(-1, -1)``.
+    Duck-types the frame, which is the upper-layer packet itself, so the
+    channel can trace without importing the net layer: broadcast copies
+    report their global key and hop count, HELLOs their sender, anything
+    else its lowered class name with ``(-1, -1)``.
     """
-    payload = getattr(frame, "payload", frame)
-    src = getattr(payload, "source_id", None)
+    src = getattr(frame, "source_id", None)
     if src is not None:
-        return ("bcast", src, payload.seq, payload.hops)
-    sender = getattr(payload, "sender_id", None)
+        return ("bcast", src, frame.seq, frame.hops)
+    sender = getattr(frame, "sender_id", None)
     if sender is not None:
         return ("hello", sender, -1, 0)
-    return (type(payload).__name__.lower(), -1, -1, 0)
+    return (type(frame).__name__.lower(), -1, -1, 0)
 
 
 class TraceRecorder:

@@ -56,7 +56,6 @@ def test_position_stamping_matches_declared_needs():
     """needs_position schemes stamp GPS into relayed copies; others ship
     None (no free information)."""
     from repro.experiments.topologies import build_static_network, line_positions
-    from repro.mac.frames import DataFrame
     from repro.net.packets import BroadcastPacket
     from repro.sim.engine import Scheduler
 
@@ -71,11 +70,8 @@ def test_position_stamping_matches_declared_needs():
         original = network.channel.start_transmission
 
         def spy(sender_id, frame, duration, _original=original):
-            if isinstance(frame, DataFrame) and isinstance(
-                frame.payload, BroadcastPacket
-            ):
-                if frame.payload.hops > 0:
-                    relayed.append(frame.payload)
+            if isinstance(frame, BroadcastPacket) and frame.hops > 0:
+                relayed.append(frame)
             return _original(sender_id, frame, duration)
 
         network.channel.start_transmission = spy

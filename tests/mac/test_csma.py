@@ -152,6 +152,26 @@ def test_cancel_queued_frame_before_transmission():
     assert macs[0].stats.frames_cancelled == 1
 
 
+def test_shutdown_aborts_the_frame_on_the_air_and_flushes_the_queue():
+    """A crash while "a" is on the air aborts it and flushes the live
+    queued frame "b"; the cancelled "c" is no flush, and the dead MAC
+    refuses new frames."""
+    scheduler, channel, macs, uppers = build([(0, 0), (50, 0)])
+    handles = []
+    scheduler.schedule(1.0, macs[0].send, "a", 10)
+    scheduler.schedule(1.0001, macs[0].send, "b", 10)
+    scheduler.schedule(1.0001, lambda: handles.append(macs[0].send("c", 10)))
+    scheduler.schedule(1.00015, lambda: handles[0].cancel())
+    scheduler.schedule(1.0002, macs[0].shutdown)  # "a" ends at 1.000272
+    scheduler.run()
+    assert macs[0].stats.frames_flushed == 1
+    assert macs[0].queue_length == 0
+    assert channel.stats.aborted_frames == 1
+    assert uppers[1].received == []
+    with pytest.raises(RuntimeError):
+        macs[0].send("d", 10)
+
+
 def test_cancel_after_transmission_started_returns_false():
     scheduler, channel, macs, uppers = build([(0, 0), (50, 0)])
     handles = []

@@ -24,7 +24,6 @@ from repro.mobility.map import RectMap
 from repro.net.host import HelloConfig
 from repro.net.network import Network
 from repro.phy.channel import Channel
-from repro.routing import attach_agents
 from repro.schemes import make_scheme
 from repro.sim.engine import Scheduler
 from repro.sim.randomness import RandomStreams
@@ -156,23 +155,6 @@ def test_adaptive_counter_with_hellos_keeps_the_contract():
     events, unsubscribed = step_and_check(scheduler, network, end + 1.0)
     assert network.metrics.hello_packets_sent > 50
     assert unsubscribed > 0
-
-
-def test_unicast_routing_traffic_keeps_the_contract():
-    scheduler, streams, network = make_network("flooding", 30, 3, seed=11)
-    agents = attach_agents(network)
-    network.start()
-    rng = random.Random(4)
-    t = 1.0
-    for _ in range(6):
-        t += rng.uniform(0.3, 0.8)
-        src = rng.randrange(30)
-        dst = (src + 1 + rng.randrange(29)) % 30
-        scheduler.schedule_at(t, agents[src].send_data, dst, "payload")
-    step_and_check(scheduler, network, t + 3.0)
-    macs = [host.mac for host in network.hosts]
-    assert sum(mac.stats.acks_sent for mac in macs) > 0
-    assert sum(mac.stats.unicast_delivered for mac in macs) > 0
 
 
 def test_nc_dhi_under_crashes_keeps_the_contract():

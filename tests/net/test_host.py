@@ -96,6 +96,19 @@ def test_duplicate_receptions_do_not_recount():
     assert record.received_count == 2  # hosts 1 and 2, each once
 
 
+def test_unknown_frame_raises():
+    """A frame that is neither a HELLO nor a broadcast copy is an error at
+    the receiving host, not something it drops."""
+    scheduler = Scheduler()
+    network, _ = build_static_network(
+        scheduler, line_positions(2, 400.0), FloodingScheme
+    )
+    network.start()
+    scheduler.schedule_at(1.0, network.hosts[0].mac.send, "mystery", 50)
+    with pytest.raises(TypeError, match="unknown frame"):
+        scheduler.run(until=3.0)
+
+
 def test_oracle_neighbor_count():
     scheduler = Scheduler()
     network, _ = build_static_network(
@@ -127,10 +140,8 @@ def test_dynamic_hello_interval_announced():
     start_transmission = network.channel.start_transmission
 
     def spy(sender_id, frame, duration):
-        if sender_id == 1 and isinstance(frame.payload, HelloPacket):
-            hellos.append(
-                (scheduler.now + duration, frame.payload.hello_interval)
-            )
+        if sender_id == 1 and isinstance(frame, HelloPacket):
+            hellos.append((scheduler.now + duration, frame.hello_interval))
         start_transmission(sender_id, frame, duration)
 
     network.channel.start_transmission = spy

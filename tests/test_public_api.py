@@ -38,7 +38,7 @@ def test_all_subpackages_importable():
     for module in (
         "repro.sim", "repro.geometry", "repro.analysis", "repro.mobility",
         "repro.phy", "repro.mac", "repro.net", "repro.schemes",
-        "repro.metrics", "repro.experiments", "repro.routing", "repro.viz",
+        "repro.metrics", "repro.experiments", "repro.viz",
         "repro.cli", "repro.campaigns",
         "repro.experiments.figures", "repro.experiments.io",
         "repro.experiments.replication", "repro.experiments.report",

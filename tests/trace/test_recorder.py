@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.mac.frames import DataFrame
 from repro.net.packets import BroadcastPacket, HelloPacket
 from repro.trace import (
     DECISION_VERDICTS,
@@ -27,14 +26,6 @@ def bcast_packet(src=3, seq=5, hops=2):
 
 def test_frame_ident_broadcast_payload():
     assert frame_ident(bcast_packet()) == ("bcast", 3, 5, 2)
-
-
-def test_frame_ident_unwraps_mac_envelope():
-    frame = DataFrame(
-        src=9, dst=None, payload=bcast_packet(src=1, seq=2, hops=0),
-        size_bytes=280,
-    )
-    assert frame_ident(frame) == ("bcast", 1, 2, 0)
 
 
 def test_frame_ident_hello():
